@@ -1189,17 +1189,21 @@ impl Client {
     /// The version manager marks the versions dead (one control RPC,
     /// all-or-nothing) and hands back every live root of the blob's
     /// *clone family* — the only trees that can share metadata leaf
-    /// nodes with the deleted ones. The collector then walks the dead
-    /// trees and the live trees ([`segtree::collect_leaf_keys`],
-    /// served through the client's metadata node cache) and diffs them
-    /// by **leaf node key**: a leaf reachable only from dead roots holds
-    /// exactly one provider-side reference per acked replica in its
-    /// descriptor — the write path's refcount invariant — so releasing
-    /// those references (batched per provider, one control RPC each,
-    /// down providers skipped) frees precisely the chunks no surviving
-    /// snapshot can reach, and never a shared one. Zero-ref chunks are
-    /// removed by the providers with the aggregate storage counters
-    /// maintained exactly.
+    /// nodes with the deleted ones. One reachability walk
+    /// ([`segtree::dead_leaves`], served through the client's metadata
+    /// node cache) then finds the leaf nodes reachable from a dead root
+    /// and from no live one, in at most `2 × tree depth` metadata rounds
+    /// however large the family. Each such leaf holds exactly one
+    /// provider-side reference per acked replica in its descriptor —
+    /// the write path's refcount invariant — so releasing those
+    /// references frees precisely the chunks no surviving snapshot can
+    /// reach, and never a shared one. The release is charged as one
+    /// modelled control RPC per provider, but a message transport
+    /// carries it as one `ReleaseCounted` frame per (chunk, replica): a
+    /// release is not idempotent, so batching it waits for request ids
+    /// that make a retried frame safe. Down providers are skipped.
+    /// Zero-ref chunks are removed by the providers with the aggregate
+    /// storage counters maintained exactly.
     ///
     /// Freed chunks are evicted from the cluster dedup index, every
     /// node's digest index and chunk cache, and the deleted versions'
@@ -1222,44 +1226,31 @@ impl Client {
         //    the family's live-root frontier under the same lock.
         self.control_rpc(self.store.topology().vmanager)?;
         let outcome = self.store.vm_delete_snapshots(blob, versions)?;
-        let (dead_roots, live_roots, span) = (outcome.dead_roots, outcome.live_roots, outcome.span);
         for &v in versions {
             self.version_cache.lock().remove(&(blob, v));
         }
 
         // 2. Reachability diff by leaf node key: dead = reachable from a
         //    deleted root and from no live one.
-        let mut dead: FastMap<NodeKey, ChunkDesc> = FastMap::default();
-        {
-            let mut io = ClientNodeIo { client: self };
-            for &root in &dead_roots {
-                for (_, key, desc) in segtree::collect_leaf_keys(&mut io, root, span)? {
-                    dead.insert(key, desc);
-                }
-            }
-            let live_roots: FastSet<NodeKey> = live_roots.into_iter().collect();
-            for &root in &live_roots {
-                if dead.is_empty() {
-                    break;
-                }
-                for (_, key, _) in segtree::collect_leaf_keys(&mut io, root, span)? {
-                    dead.remove(&key);
-                }
-            }
-        }
+        let dead = segtree::dead_leaves(
+            &mut ClientNodeIo { client: self },
+            &outcome.dead_roots,
+            &outcome.live_roots,
+        )?;
         let mut report = GcReport {
             deleted_versions: versions.len(),
             dead_leaves: dead.len() as u64,
             ..GcReport::default()
         };
 
-        // 3. Release the dead leaves' references on every acked replica,
-        //    batched per provider. A down or unreachable provider is
-        //    skipped — its copy is gone with it (or will resurface as an
-        //    orphan a future stale-hit validation cleans up); the storm
-        //    must not fail because one node died mid-release.
+        // 3. Release the dead leaves' references on every acked replica:
+        //    one modelled control RPC per provider, one `ReleaseCounted`
+        //    message per (chunk, replica). A down or unreachable provider
+        //    is skipped — its copy is gone with it (or will resurface as
+        //    an orphan a future stale-hit validation cleans up); the
+        //    storm must not fail because one node died mid-release.
         let mut by_prov: HashMap<NodeId, Vec<ChunkId>> = HashMap::new();
-        for desc in dead.values() {
+        for (_, desc) in &dead {
             for &prov in desc.replicas.iter() {
                 by_prov.entry(prov).or_default().push(desc.id);
             }
@@ -1783,21 +1774,40 @@ fn unwrap_shared(outcome: Arc<Mutex<PushOutcome>>) -> PushOutcome {
         .into_inner()
 }
 
-/// Metadata I/O with client-side caching and per-shard batched RPCs.
+/// Metadata I/O with client-side caching: every round sends its cache
+/// misses as one metadata frame, whatever shards they live on.
 struct ClientNodeIo<'a> {
     client: &'a Client,
 }
 
 impl ClientNodeIo<'_> {
-    fn shard_count(&self) -> usize {
-        self.client.store.meta_shards()
+    /// Charge the modelled cost of one metadata round: one RPC to each
+    /// shard server holding some of `keys` (ascending shard order, so
+    /// deterministic), sized by `cost(count)` = (request, reply) bytes.
+    fn charge_round(
+        &self,
+        keys: impl Iterator<Item = NodeKey>,
+        cost: impl Fn(u64) -> (u64, u64),
+    ) -> BlobResult<()> {
+        let store = &self.client.store;
+        let shards = store.meta_shards();
+        let mut per_shard = vec![0u64; shards];
+        for k in keys {
+            per_shard[partition_of(k, shards)] += 1;
+        }
+        for (shard, &count) in per_shard.iter().enumerate().filter(|(_, &n)| n > 0) {
+            let (req, reply) = cost(count);
+            store
+                .fabric
+                .rpc(self.client.node, store.topo.metadata[shard], req, reply)?;
+        }
+        Ok(())
     }
 }
 
 impl NodeIo for ClientNodeIo<'_> {
     fn fetch(&mut self, keys: &[NodeKey]) -> BlobResult<Vec<TreeNode>> {
         self.client.meta_fetch_calls.fetch_add(1, Ordering::Relaxed);
-        let store = &self.client.store;
         let mut out: Vec<Option<TreeNode>> = vec![None; keys.len()];
         // Serve from the client cache first (nodes are immutable).
         let mut misses: Vec<(usize, NodeKey)> = Vec::new();
@@ -1810,38 +1820,19 @@ impl NodeIo for ClientNodeIo<'_> {
                 }
             }
         }
-        // Group misses by shard (dense buckets, ascending shard order —
-        // deterministic RPCs); one RPC per shard (the "one metadata round
-        // per level" batching).
-        let mut by_shard: Vec<Vec<(usize, NodeKey)>> = vec![Vec::new(); self.shard_count()];
-        for (i, k) in misses {
-            by_shard[partition_of(k, self.shard_count())].push((i, k));
-        }
-        for (shard, group) in by_shard.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let server = store.topo.metadata[shard];
-            let cfg = store.config();
-            store.fabric.rpc(
-                self.client.node,
-                server,
-                cfg.control_bytes + 8 * group.len() as u64,
-                cfg.node_bytes * group.len() as u64,
-            )?;
-            let keys: Vec<NodeKey> = group.iter().map(|&(_, k)| k).collect();
-            let nodes = store.meta_read_nodes(shard, keys)?;
-            for ((i, _), node) in group.into_iter().zip(nodes) {
-                out[i] = Some(node);
-            }
-        }
-        // Fill cache.
-        {
+        if !misses.is_empty() {
+            let cfg = self.client.cfg();
+            self.charge_round(misses.iter().map(|&(_, k)| k), |n| {
+                (cfg.control_bytes + 8 * n, cfg.node_bytes * n)
+            })?;
+            let nodes = self
+                .client
+                .store
+                .meta_read_nodes(misses.iter().map(|&(_, k)| k).collect())?;
             let mut cache = self.client.node_cache.lock();
-            for (i, k) in keys.iter().enumerate() {
-                if let Some(n) = &out[i] {
-                    cache.entry(*k).or_insert_with(|| n.clone());
-                }
+            for ((i, k), node) in misses.into_iter().zip(nodes) {
+                cache.entry(k).or_insert_with(|| node.clone());
+                out[i] = Some(node);
             }
         }
         Ok(out.into_iter().map(|o| o.expect("filled")).collect())
@@ -1857,7 +1848,6 @@ impl NodeIo for ClientNodeIo<'_> {
     }
 
     fn store(&mut self, nodes: Vec<(NodeKey, TreeNode)>) -> BlobResult<()> {
-        let store = &self.client.store;
         // New nodes are immediately cacheable (cheap clones: inner nodes
         // are two keys, leaves share their replica set by refcount).
         {
@@ -1866,27 +1856,11 @@ impl NodeIo for ClientNodeIo<'_> {
                 cache.insert(*k, n.clone());
             }
         }
-        // Dense shard buckets, nodes moved (not cloned); ascending shard
-        // order keeps RPCs deterministic.
-        let mut by_shard: Vec<Vec<(NodeKey, TreeNode)>> = vec![Vec::new(); self.shard_count()];
-        for (k, n) in nodes {
-            by_shard[partition_of(k, self.shard_count())].push((k, n));
-        }
-        for (shard, group) in by_shard.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let server = store.topo.metadata[shard];
-            let cfg = store.config();
-            store.fabric.rpc(
-                self.client.node,
-                server,
-                cfg.node_bytes * group.len() as u64,
-                cfg.control_bytes,
-            )?;
-            store.meta_write_nodes(shard, group)?;
-        }
-        Ok(())
+        let cfg = self.client.cfg();
+        self.charge_round(nodes.iter().map(|&(k, _)| k), |n| {
+            (cfg.node_bytes * n, cfg.control_bytes)
+        })?;
+        self.client.store.meta_write_nodes(nodes)
     }
 }
 
@@ -3364,5 +3338,110 @@ mod tests {
         // The unconfirmed tail was consumed, not deferred: nothing more
         // to do until new pattern data arrives.
         assert_eq!(c.prefetch_chunks(blob, v, 100).unwrap(), 0);
+    }
+
+    use bff_net::transport::{CodecTransport, FrameHandler, Role, RouteKey, Transport, WireError};
+
+    /// A codec transport that carries metadata frames on their own
+    /// `CodecTransport`, so its `WireStats` count them alone.
+    struct MetaSplitCodec {
+        meta: CodecTransport,
+        rest: CodecTransport,
+    }
+
+    impl Transport for MetaSplitCodec {
+        fn call(&self, route: RouteKey, frame: &[u8]) -> Result<Vec<u8>, WireError> {
+            if route.role() == Role::Meta {
+                self.meta.call(route, frame)
+            } else {
+                self.rest.call(route, frame)
+            }
+        }
+    }
+
+    #[test]
+    fn cold_read_multi_sends_one_meta_frame_per_level() {
+        // The codec transport over 8 compute nodes, hence 8 metadata
+        // shards behind one listener.
+        let fabric = LocalFabric::new(9);
+        let compute: Vec<NodeId> = (0..8).map(NodeId).collect();
+        let topo = BlobTopology::colocated(&compute, NodeId(8));
+        let cfg = BlobConfig {
+            chunk_size: 128,
+            ..Default::default()
+        };
+        let srv = Arc::new(crate::server::ServerState::new(
+            &cfg,
+            &topo,
+            crate::pmanager::Placement::RoundRobin,
+        ));
+        let codec = || {
+            let srv = Arc::clone(&srv);
+            let handler: FrameHandler =
+                Arc::new(move |route, frame| srv.handle_frame(route, frame));
+            CodecTransport::new(handler)
+        };
+        let transport = Arc::new(MetaSplitCodec {
+            meta: codec(),
+            rest: codec(),
+        });
+        let store = BlobStore::remote(
+            cfg,
+            topo,
+            fabric as Arc<dyn Fabric>,
+            Arc::clone(&transport) as Arc<dyn Transport>,
+        );
+        let writer = Client::new(Arc::clone(&store), NodeId(0));
+        let data = Payload::synth(40, 0, 4096); // 32 chunks: span 32, depth 6
+        let (blob, v) = writer.upload(data.clone()).unwrap();
+        let depth = 32u64.ilog2() as u64 + 1;
+
+        // A cold reader on another node: its descent spans every shard
+        // at the wide levels, yet each level is one frame.
+        let reader = Client::new(Arc::clone(&store), NodeId(1));
+        let before = transport.meta.wire_stats().calls;
+        let got = reader
+            .read_multi(blob, v, std::slice::from_ref(&(0..4096)))
+            .unwrap();
+        assert!(got[0].content_eq(&data));
+        assert_eq!(reader.meta_fetch_calls(), depth);
+        assert_eq!(
+            transport.meta.wire_stats().calls - before,
+            depth,
+            "one meta frame per tree level"
+        );
+    }
+
+    #[test]
+    fn gc_rounds_do_not_grow_with_live_family_roots() {
+        // Delete one snapshot of a blob whose clone family holds 1 or 16
+        // distinct live roots: the collector's metadata rounds stay the
+        // same, within 2 x tree depth.
+        let depth = 32u64.ilog2() as u64 + 1;
+        let rounds_with = |live_roots: u64| {
+            let (_f, client) = setup(4);
+            let (blob, v1) = client.upload(Payload::synth(50, 0, 4096)).unwrap();
+            let v2 = client
+                .write_chunks(blob, v1, vec![(3, Payload::synth(51, 0, 128))])
+                .unwrap();
+            // v1 stays live; each clone of it adds one more live root.
+            for i in 1..live_roots {
+                let c = client.clone_blob(blob, v1).unwrap();
+                client
+                    .write_chunks(
+                        c,
+                        Version(1),
+                        vec![(i % 32, Payload::synth(100 + i, 0, 128))],
+                    )
+                    .unwrap();
+            }
+            let gc = Client::new(Arc::clone(client.store()), NodeId(1));
+            let report = gc.delete_snapshot(blob, v2).unwrap();
+            assert_eq!(report.dead_leaves, 1, "only v2's private leaf dies");
+            gc.meta_fetch_calls()
+        };
+        let (one, many) = (rounds_with(1), rounds_with(16));
+        assert_eq!(one, many, "GC rounds must not scale with live roots");
+        assert!(one <= 2 * depth, "{one} rounds exceed 2 x depth {depth}");
     }
 }

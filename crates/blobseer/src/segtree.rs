@@ -8,12 +8,14 @@
 //! else is shared. A clone shares the entire tree.
 //!
 //! The algorithms here are pure: they speak to storage through the
-//! [`NodeIo`] trait, whose batched calls the client maps onto
-//! metadata-server RPCs (one round per tree level, grouped by server, the
-//! way BlobSeer parallelizes its distributed segment trees).
+//! [`NodeIo`] trait. Each batched call is one metadata round: the client
+//! sends it as a single frame, which the metadata service splits across
+//! its hash-partitioned shards server-side — one round per tree level
+//! however wide the level, the way BlobSeer parallelizes its distributed
+//! segment trees.
 
 use crate::api::{BlobError, BlobResult, ChunkDesc, NodeKey, TreeNode};
-use bff_data::FastMap;
+use bff_data::{FastMap, FastSet};
 use std::ops::Range;
 
 /// Batched metadata node I/O.
@@ -119,53 +121,128 @@ pub fn collect_leaves_multi(
     Ok(out)
 }
 
-/// Walk the whole tree of `root` and collect every leaf with its
-/// metadata **node key**: `(chunk index, leaf key, descriptor)`, in
-/// index order, one metadata round per level like
-/// [`collect_leaves_multi`].
+/// The snapshot garbage collector's reachability diff: every leaf node
+/// reachable from a root in `dead_roots` and from no root in
+/// `live_roots`, as `(leaf key, descriptor)` in ascending key order.
 ///
-/// This is the garbage collector's view of a snapshot. Chunk-level
-/// identity cannot drive deletion — two snapshots can reference one
-/// chunk either through a *shared* leaf node (shadowing/CLONE: one
-/// provider-side reference between them) or through *distinct* leaves
-/// (dedup by reference: one reference each) — but leaf-node identity
-/// can: every leaf node holds exactly one reference per replica in its
-/// descriptor, so a leaf reachable only from deleted roots releases
-/// exactly its own references and never a survivor's.
-pub fn collect_leaf_keys(
+/// Chunk-level identity cannot drive deletion — two snapshots can
+/// reference one chunk either through a *shared* leaf node
+/// (shadowing/CLONE: one provider-side reference between them) or
+/// through *distinct* leaves (dedup by reference: one reference each) —
+/// but leaf-node identity can: every leaf node holds exactly one
+/// reference per replica in its descriptor, so a leaf reachable only
+/// from deleted roots releases exactly its own references and never a
+/// survivor's.
+///
+/// Two breadth-first walks, each one [`NodeIo::fetch`] per level
+/// however many roots it starts from:
+///
+/// 1. one frontier over every dead root maps the dead subgraph,
+///    fetching each node once;
+/// 2. one frontier over every live root. Where a live path enters the
+///    dead subgraph, every node below the entry is struck locally with
+///    no fetch; elsewhere the walk descends. It stops as soon as no
+///    dead leaf remains.
+///
+/// A collection therefore costs at most `2 × tree depth` rounds,
+/// independent of the size of the clone family.
+pub fn dead_leaves(
     io: &mut dyn NodeIo,
-    root: NodeKey,
-    span: u64,
-) -> BlobResult<Vec<(u64, NodeKey, ChunkDesc)>> {
-    let mut out = Vec::new();
-    if root.is_null() {
-        return Ok(out);
-    }
-    let mut frontier: Vec<(NodeKey, Range<u64>)> = vec![(root, 0..span)];
+    dead_roots: &[NodeKey],
+    live_roots: &[NodeKey],
+) -> BlobResult<Vec<(NodeKey, ChunkDesc)>> {
+    // 1. The dead subgraph, each node fetched once.
+    let mut dead: FastMap<NodeKey, TreeNode> = FastMap::default();
+    let mut queued: FastSet<NodeKey> = FastSet::default();
+    let mut frontier: Vec<NodeKey> = dead_roots
+        .iter()
+        .copied()
+        .filter(|k| !k.is_null() && queued.insert(*k))
+        .collect();
     while !frontier.is_empty() {
-        let keys: Vec<NodeKey> = frontier.iter().map(|(k, _)| *k).collect();
-        let nodes = io.fetch(&keys)?;
+        let nodes = io.fetch(&frontier)?;
         let mut next = Vec::new();
-        for ((key, range), node) in frontier.into_iter().zip(nodes) {
-            match node {
-                TreeNode::Leaf { chunk } => {
-                    debug_assert_eq!(range.end - range.start, 1, "leaf must cover one chunk");
-                    out.push((range.start, key, chunk));
-                }
-                TreeNode::Inner { left, right } => {
-                    let mid = range.start + (range.end - range.start) / 2;
-                    if !left.is_null() {
-                        next.push((left, range.start..mid));
-                    }
-                    if !right.is_null() {
-                        next.push((right, mid..range.end));
-                    }
-                }
+        for (key, node) in frontier.into_iter().zip(nodes) {
+            if let TreeNode::Inner { left, right } = node {
+                next.extend(
+                    [left, right]
+                        .into_iter()
+                        .filter(|c| !c.is_null() && queued.insert(*c)),
+                );
             }
+            dead.insert(key, node);
         }
         frontier = next;
     }
+    let mut remaining = dead
+        .values()
+        .filter(|n| matches!(n, TreeNode::Leaf { .. }))
+        .count();
+
+    // 2. Strike everything a live root reaches.
+    let mut live: FastSet<NodeKey> = FastSet::default();
+    let mut frontier: Vec<NodeKey> = live_roots
+        .iter()
+        .copied()
+        .filter(|k| !k.is_null() && live.insert(*k))
+        .collect();
+    while remaining > 0 && !frontier.is_empty() {
+        let mut fetch = Vec::new();
+        for key in frontier {
+            if dead.contains_key(&key) {
+                strike(&mut dead, &mut live, key, &mut remaining);
+            } else {
+                fetch.push(key);
+            }
+        }
+        if remaining == 0 || fetch.is_empty() {
+            break;
+        }
+        let nodes = io.fetch(&fetch)?;
+        frontier = Vec::new();
+        for node in nodes {
+            if let TreeNode::Inner { left, right } = node {
+                frontier.extend(
+                    [left, right]
+                        .into_iter()
+                        .filter(|c| !c.is_null() && live.insert(*c)),
+                );
+            }
+        }
+    }
+
+    let mut out: Vec<(NodeKey, ChunkDesc)> = dead
+        .into_iter()
+        .filter_map(|(key, node)| match node {
+            TreeNode::Leaf { chunk } => Some((key, chunk)),
+            TreeNode::Inner { .. } => None,
+        })
+        .collect();
+    out.sort_unstable_by_key(|&(key, _)| key);
     Ok(out)
+}
+
+/// Remove `entry` and the whole dead subgraph below it from `dead`
+/// (a live path reaches all of it), marking each node live.
+fn strike(
+    dead: &mut FastMap<NodeKey, TreeNode>,
+    live: &mut FastSet<NodeKey>,
+    entry: NodeKey,
+    remaining: &mut usize,
+) {
+    let mut stack = vec![entry];
+    while let Some(key) = stack.pop() {
+        let Some(node) = dead.remove(&key) else {
+            continue;
+        };
+        live.insert(key);
+        match node {
+            TreeNode::Leaf { .. } => *remaining -= 1,
+            TreeNode::Inner { left, right } => {
+                stack.extend([left, right].into_iter().filter(|c| !c.is_null()))
+            }
+        }
+    }
 }
 
 /// Build the tree for a new snapshot that applies `updates` (chunk index →
@@ -516,33 +593,154 @@ mod tests {
         assert_eq!(idx, sparse, "leaves must arrive sorted and complete");
     }
 
+    /// Every leaf node reachable from `roots`, by brute-force DFS over
+    /// the stored nodes (no `NodeIo`, no rounds).
+    fn reachable_leaves(io: &MemIo, roots: &[NodeKey]) -> FastMap<NodeKey, ChunkDesc> {
+        let mut out = FastMap::default();
+        let mut stack: Vec<NodeKey> = roots.to_vec();
+        while let Some(key) = stack.pop() {
+            if key.is_null() {
+                continue;
+            }
+            match &io.nodes[&key] {
+                TreeNode::Leaf { chunk } => {
+                    out.insert(key, chunk.clone());
+                }
+                TreeNode::Inner { left, right } => stack.extend([*left, *right]),
+            }
+        }
+        out
+    }
+
+    /// SplitMix64: a seeded generator for the randomized GC walks.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
     #[test]
-    fn leaf_keys_expose_sharing_between_snapshots() {
-        // Two snapshots sharing all but one leaf: the walks agree on the
-        // shared leaves' node keys and differ exactly at the updated
-        // index — the property the snapshot GC's reachability diff
-        // relies on.
-        let mut io = MemIo::new();
-        let v1 = build_new_tree(&mut io, NodeKey::NULL, 8, &updates(&[0, 3, 7])).unwrap();
-        let v2 = build_new_tree(&mut io, v1, 8, &updates(&[3])).unwrap();
-        let l1 = collect_leaf_keys(&mut io, v1, 8).unwrap();
-        let l2 = collect_leaf_keys(&mut io, v2, 8).unwrap();
-        assert_eq!(l1.len(), 3);
-        assert_eq!(l2.len(), 3);
-        let key_at = |ls: &[(u64, NodeKey, ChunkDesc)], i: u64| {
-            ls.iter().find(|(idx, _, _)| *idx == i).unwrap().1
+    fn dead_leaves_match_brute_force_reachability() {
+        for seed in 0..64u64 {
+            let mut rng = Rng(seed);
+            let span = 1u64 << (1 + rng.below(5)); // 2..=32 chunks
+            let depth = span.ilog2() as usize + 1;
+            let mut io = MemIo::new();
+            // A clone family: every version shadows a random earlier
+            // root (a successor or a CLONE — the same thing at tree
+            // level). Updates carry fresh chunks or re-reference a chunk
+            // already in use (dedup: a distinct leaf node, same chunk).
+            let mut roots = vec![NodeKey::NULL];
+            let mut chunks: Vec<ChunkDesc> = Vec::new();
+            for _ in 0..2 + rng.below(12) {
+                let base = roots[rng.below(roots.len() as u64) as usize];
+                let mut up = FastMap::default();
+                for _ in 0..1 + rng.below(span) {
+                    let desc = if !chunks.is_empty() && rng.below(3) == 0 {
+                        chunks[rng.below(chunks.len() as u64) as usize].clone()
+                    } else {
+                        let d = desc(chunks.len() as u64);
+                        chunks.push(d.clone());
+                        d
+                    };
+                    up.insert(rng.below(span), desc);
+                }
+                roots.push(build_new_tree(&mut io, base, span, &up).unwrap());
+            }
+            // A random dead/live split; aliases (a CLONE's first version)
+            // may land on both sides, NULL roots on either.
+            let (mut dead_roots, mut live_roots) = (Vec::new(), Vec::new());
+            for &root in &roots {
+                match rng.below(3) {
+                    0 => dead_roots.push(root),
+                    1 => live_roots.push(root),
+                    _ => {
+                        dead_roots.push(root);
+                        live_roots.push(root);
+                    }
+                }
+            }
+            let mut expect: Vec<(NodeKey, ChunkDesc)> = {
+                let live = reachable_leaves(&io, &live_roots);
+                reachable_leaves(&io, &dead_roots)
+                    .into_iter()
+                    .filter(|(key, _)| !live.contains_key(key))
+                    .collect()
+            };
+            expect.sort_unstable_by_key(|&(key, _)| key);
+            io.fetch_rounds = 0;
+            let got = dead_leaves(&mut io, &dead_roots, &live_roots).unwrap();
+            assert_eq!(got, expect, "seed {seed}");
+            assert!(
+                io.fetch_rounds <= 2 * depth,
+                "seed {seed}: {} rounds exceed 2 x depth {depth}",
+                io.fetch_rounds
+            );
+        }
+    }
+
+    #[test]
+    fn dead_leaf_rounds_do_not_grow_with_live_roots() {
+        // One dead snapshot beside its live base and 1 or 64 live
+        // siblings, each shadowing one private leaf of the base: the walk
+        // costs the same rounds either way, within 2 x depth.
+        let span = 64u64;
+        let depth = span.ilog2() as usize + 1;
+        let rounds_with = |siblings: u64| {
+            let mut io = MemIo::new();
+            let all: Vec<u64> = (0..span).collect();
+            let base = build_new_tree(&mut io, NodeKey::NULL, span, &updates(&all)).unwrap();
+            let dead = build_new_tree(&mut io, base, span, &updates(&[5])).unwrap();
+            let mut live = vec![base];
+            live.extend((0..siblings).map(|i| {
+                let mut up = FastMap::default();
+                up.insert(i % span, desc(500 + i));
+                build_new_tree(&mut io, base, span, &up).unwrap()
+            }));
+            io.fetch_rounds = 0;
+            let got = dead_leaves(&mut io, &[dead], &live).unwrap();
+            assert_eq!(got.len(), 1, "only the private leaf dies");
+            assert_eq!(got[0].1, desc(5));
+            io.fetch_rounds
         };
-        assert_eq!(key_at(&l1, 0), key_at(&l2, 0), "untouched leaf shared");
-        assert_eq!(key_at(&l1, 7), key_at(&l2, 7), "untouched leaf shared");
-        assert_ne!(key_at(&l1, 3), key_at(&l2, 3), "updated leaf shadowed");
-        // Index order and descriptors match the plain leaf walk.
-        let plain = collect_leaves(&mut io, v2, 8, &(0..8)).unwrap();
-        let flat: Vec<(u64, ChunkDesc)> = l2.into_iter().map(|(i, _, d)| (i, d)).collect();
-        assert_eq!(flat, plain);
-        // A NULL tree has no leaves.
-        assert!(collect_leaf_keys(&mut io, NodeKey::NULL, 8)
+        let (one, many) = (rounds_with(1), rounds_with(64));
+        assert_eq!(one, many, "rounds must not scale with live roots");
+        assert!(one <= 2 * depth, "{one} rounds exceed 2 x depth {depth}");
+    }
+
+    #[test]
+    fn dead_root_reached_live_costs_no_live_fetch() {
+        // Deleting the source of a CLONE whose first version aliases it:
+        // the live walk enters the dead subgraph at its root, strikes it
+        // locally and fetches nothing.
+        let mut io = MemIo::new();
+        let root = build_new_tree(&mut io, NodeKey::NULL, 8, &updates(&[0, 3, 7])).unwrap();
+        io.fetch_rounds = 0;
+        assert!(dead_leaves(&mut io, &[root], &[root]).unwrap().is_empty());
+        assert_eq!(
+            io.fetch_rounds, 4,
+            "one dead walk over depth 4, no live rounds"
+        );
+        // NULL roots and an empty dead set cost nothing.
+        io.fetch_rounds = 0;
+        assert!(dead_leaves(&mut io, &[NodeKey::NULL], &[root])
             .unwrap()
             .is_empty());
+        assert_eq!(io.fetch_rounds, 0);
+        // Shadowing: only the overwritten leaf of v1 dies once v2 lives.
+        let v2 = build_new_tree(&mut io, root, 8, &updates(&[3])).unwrap();
+        let got = dead_leaves(&mut io, &[root], &[v2]).unwrap();
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].1, desc(3));
     }
 
     #[test]

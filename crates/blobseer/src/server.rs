@@ -24,7 +24,7 @@ use crate::durable::{
     RecoveryReport,
 };
 use crate::lockstat::{probed_read, probed_write, LockContention, LockProbe};
-use crate::meta::MetaPartition;
+use crate::meta::{partition_of, MetaPartition};
 use crate::pmanager::{PManager, Placement};
 use crate::provider::ProviderStore;
 use crate::vmanager::VManager;
@@ -34,7 +34,7 @@ use bff_wire::msg::{
     BoardReq, BoardResp, ClusterReq, ClusterResp, DeleteOutcome, MetaReq, MetaResp, PmReq, PmResp,
     ProviderReq, ProviderResp, Req, Resp, VersionInfo, VmReq, VmResp,
 };
-use bff_wire::types::BlobError;
+use bff_wire::types::{BlobError, BlobResult, NodeKey, TreeNode};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::path::Path;
 use std::sync::Arc;
@@ -305,32 +305,23 @@ impl ServerState {
         if req.route().role() != route.role() {
             return Err(WireError::BadFrame);
         }
-        let resp = self.dispatch(req)?;
-        Ok(bff_wire::encode(&resp))
+        Ok(bff_wire::encode(&self.dispatch(req)))
     }
 
     /// Serve one typed request against the passive state machines.
     ///
-    /// Addressing errors that the direct path cannot express (a shard
-    /// index beyond the deployment) are wire errors; a request for an
-    /// *unknown provider node* answers exactly like the direct path's
-    /// `ProviderStore` (absent chunk / rejected op), so per-chunk
-    /// failover semantics survive the transport unchanged.
-    pub fn dispatch(&self, req: Req) -> Result<Resp, WireError> {
-        Ok(match req {
+    /// A request for an *unknown provider node* answers exactly like the
+    /// direct path's `ProviderStore` (absent chunk / rejected op), so
+    /// per-chunk failover semantics survive the transport unchanged.
+    pub fn dispatch(&self, req: Req) -> Resp {
+        match req {
             Req::Vm(q) => Resp::Vm(self.dispatch_vm(q)),
             Req::Pm(q) => Resp::Pm(self.dispatch_pm(q)),
-            Req::Meta { shard, req } => {
-                let shard = shard as usize;
-                if shard >= self.meta.len() {
-                    return Err(WireError::BadFrame);
-                }
-                Resp::Meta(self.dispatch_meta(shard, req))
-            }
+            Req::Meta(q) => Resp::Meta(self.dispatch_meta(q)),
             Req::Provider { node, req } => Resp::Provider(self.dispatch_provider(node, req)),
             Req::Board(q) => Resp::Board(self.dispatch_board(q)),
             Req::Cluster(q) => Resp::Cluster(self.dispatch_cluster(q)),
-        })
+        }
     }
 
     fn dispatch_vm(&self, q: VmReq) -> VmResp {
@@ -415,11 +406,9 @@ impl ServerState {
                             versions: versions.clone(),
                         });
                         let live_roots = vm.family_live_roots(blob)?;
-                        let span = vm.meta(blob)?.span;
                         Ok(DeleteOutcome {
                             dead_roots,
                             live_roots,
-                            span,
                         })
                     })()
                 };
@@ -466,28 +455,75 @@ impl ServerState {
         }
     }
 
-    fn dispatch_meta(&self, shard: usize, q: MetaReq) -> MetaResp {
+    fn dispatch_meta(&self, q: MetaReq) -> MetaResp {
         match q {
-            MetaReq::ReadNodes(keys) => {
-                // One shard lock across the whole batch (the "one
-                // metadata round per level" acquisition pattern).
-                let part = self.meta[shard].lock();
-                MetaResp::Nodes(keys.into_iter().map(|k| part.get(k)).collect())
-            }
+            MetaReq::ReadNodes(keys) => MetaResp::Nodes(self.read_nodes(&keys)),
             MetaReq::WriteNodes(nodes) => {
-                // Journaled without an fsync: nodes are unreachable
-                // until the publish that references them, and the
-                // publish's own fsync covers every record appended
-                // before it. Ordering with the shard lock is immaterial
-                // — node keys are write-once with identical content.
-                if let Some(j) = &self.journal {
-                    j.journal
-                        .lock()
-                        .append_meta(shard as u32, &nodes)
-                        .expect("journal meta append");
-                }
-                self.meta[shard].lock().put(nodes);
+                self.write_nodes(nodes);
                 MetaResp::Written
+            }
+        }
+    }
+
+    /// Split one metadata frame's items into dense per-shard buckets
+    /// (ascending shard order; request order within a shard).
+    fn by_shard<T>(
+        &self,
+        items: impl IntoIterator<Item = T>,
+        key: impl Fn(&T) -> NodeKey,
+    ) -> Vec<Vec<T>> {
+        let mut groups: Vec<Vec<T>> = (0..self.meta.len()).map(|_| Vec::new()).collect();
+        for item in items {
+            groups[partition_of(key(&item), self.meta.len())].push(item);
+        }
+        groups
+    }
+
+    /// Serve one metadata read frame: keys from any shards, each
+    /// shard's lock taken once. Nodes come back in request order; the
+    /// first missing key in request order fails the whole frame.
+    pub(crate) fn read_nodes(&self, keys: &[NodeKey]) -> BlobResult<Vec<TreeNode>> {
+        let mut out: Vec<Option<TreeNode>> = vec![None; keys.len()];
+        for (shard, group) in self
+            .by_shard(keys.iter().copied().enumerate(), |&(_, k)| k)
+            .into_iter()
+            .enumerate()
+        {
+            if group.is_empty() {
+                continue;
+            }
+            let part = self.meta[shard].lock();
+            for (i, key) in group {
+                out[i] = part.get(key).ok();
+            }
+        }
+        out.into_iter()
+            .zip(keys)
+            .map(|(node, &key)| node.ok_or(BlobError::MetadataMissing(key)))
+            .collect()
+    }
+
+    /// Serve one metadata write frame: nodes for any shards, each
+    /// shard's group journaled as its own `MetaNodes` record and stored
+    /// under one acquisition of that shard's lock.
+    ///
+    /// Journaled without an fsync: nodes are unreachable until the
+    /// publish that references them, and the publish's own fsync covers
+    /// every record appended before it. Ordering with the shard locks
+    /// is immaterial — node keys are write-once with identical content.
+    pub(crate) fn write_nodes(&self, nodes: Vec<(NodeKey, TreeNode)>) {
+        let groups = self.by_shard(nodes, |(k, _)| *k);
+        if let Some(j) = &self.journal {
+            let mut journal = j.journal.lock();
+            for (shard, group) in groups.iter().enumerate().filter(|(_, g)| !g.is_empty()) {
+                journal
+                    .append_meta(shard as u32, group)
+                    .expect("journal meta append");
+            }
+        }
+        for (shard, group) in groups.into_iter().enumerate() {
+            if !group.is_empty() {
+                self.meta[shard].lock().put(group);
             }
         }
     }
@@ -592,7 +628,7 @@ impl ServerState {
 mod tests {
     use super::*;
     use bff_net::NodeId;
-    use bff_wire::types::{BlobId, ChunkId, NodeKey};
+    use bff_wire::types::{BlobId, ChunkId};
 
     fn state() -> ServerState {
         let nodes: Vec<NodeId> = (0..3).map(NodeId).collect();
@@ -603,16 +639,14 @@ mod tests {
     #[test]
     fn vm_roundtrip_through_dispatch() {
         let s = state();
-        let resp = s
-            .dispatch(Req::Vm(VmReq::CreateBlob {
-                size: 1024,
-                chunk_size: 256,
-            }))
-            .unwrap();
+        let resp = s.dispatch(Req::Vm(VmReq::CreateBlob {
+            size: 1024,
+            chunk_size: 256,
+        }));
         let Resp::Vm(VmResp::Created(Ok(blob))) = resp else {
             panic!("unexpected response: {resp:?}");
         };
-        let resp = s.dispatch(Req::Vm(VmReq::Latest(blob))).unwrap();
+        let resp = s.dispatch(Req::Vm(VmReq::Latest(blob)));
         assert_eq!(resp, Resp::Vm(VmResp::Latest(Ok(crate::api::Version(0)))));
     }
 
@@ -620,35 +654,116 @@ mod tests {
     fn unknown_provider_degrades_gracefully() {
         let s = state();
         let stranger = NodeId(99);
-        let resp = s
-            .dispatch(Req::Provider {
-                node: stranger,
-                req: ProviderReq::Fetch(vec![ChunkId(1), ChunkId(2)]),
-            })
-            .unwrap();
+        let resp = s.dispatch(Req::Provider {
+            node: stranger,
+            req: ProviderReq::Fetch(vec![ChunkId(1), ChunkId(2)]),
+        });
         assert_eq!(
             resp,
             Resp::Provider(ProviderResp::Fetched(vec![None, None]))
         );
-        let resp = s
-            .dispatch(Req::Provider {
-                node: stranger,
-                req: ProviderReq::Retain(ChunkId(1)),
-            })
-            .unwrap();
+        let resp = s.dispatch(Req::Provider {
+            node: stranger,
+            req: ProviderReq::Retain(ChunkId(1)),
+        });
         assert_eq!(resp, Resp::Provider(ProviderResp::Retained(false)));
     }
 
+    /// `count` node keys spread over every shard of `s`, with their
+    /// shard indices.
+    fn keys_on_every_shard(s: &ServerState, count: u64) -> Vec<(NodeKey, usize)> {
+        let keys: Vec<(NodeKey, usize)> = (1..=count)
+            .map(|k| (NodeKey(k), partition_of(NodeKey(k), s.meta.len())))
+            .collect();
+        for shard in 0..s.meta.len() {
+            assert!(
+                keys.iter().any(|&(_, sh)| sh == shard),
+                "shard {shard} unused"
+            );
+        }
+        keys
+    }
+
+    fn leaf(k: NodeKey) -> TreeNode {
+        TreeNode::Leaf {
+            chunk: bff_wire::types::ChunkDesc {
+                id: ChunkId(100 + k.0),
+                replicas: vec![NodeId(k.0 as u32 % 3)].into(),
+            },
+        }
+    }
+
     #[test]
-    fn out_of_range_shard_is_wire_error() {
+    fn one_meta_frame_spans_every_shard() {
         let s = state();
-        let err = s
-            .dispatch(Req::Meta {
-                shard: 99,
-                req: MetaReq::ReadNodes(vec![NodeKey(1)]),
-            })
-            .unwrap_err();
-        assert_eq!(err, WireError::BadFrame);
+        let keys = keys_on_every_shard(&s, 24);
+        let nodes: Vec<(NodeKey, TreeNode)> = keys.iter().map(|&(k, _)| (k, leaf(k))).collect();
+        assert_eq!(
+            s.dispatch(Req::Meta(MetaReq::WriteNodes(nodes))),
+            Resp::Meta(MetaResp::Written)
+        );
+        // Each node landed on its own shard.
+        for shard in 0..s.meta.len() {
+            let want = keys.iter().filter(|&&(_, sh)| sh == shard).count();
+            assert_eq!(s.meta[shard].lock().node_count(), want, "shard {shard}");
+        }
+        // A read frame across every shard answers in request order.
+        let order: Vec<NodeKey> = keys.iter().rev().map(|&(k, _)| k).collect();
+        let want: Vec<TreeNode> = order.iter().map(|&k| leaf(k)).collect();
+        assert_eq!(
+            s.dispatch(Req::Meta(MetaReq::ReadNodes(order.clone()))),
+            Resp::Meta(MetaResp::Nodes(Ok(want)))
+        );
+        // Two missing keys on different shards, the later shard first in
+        // the request: the frame fails on the first missing key in
+        // request order, not in shard order.
+        let absent_on = |shard: usize| {
+            (1000..)
+                .map(NodeKey)
+                .find(|&k| partition_of(k, s.meta.len()) == shard)
+                .unwrap()
+        };
+        let (lo, hi) = (absent_on(0), absent_on(s.meta.len() - 1));
+        let probe = vec![order[0], hi, order[1], lo];
+        assert_eq!(
+            s.dispatch(Req::Meta(MetaReq::ReadNodes(probe))),
+            Resp::Meta(MetaResp::Nodes(Err(BlobError::MetadataMissing(hi))))
+        );
+    }
+
+    #[test]
+    fn cross_shard_write_frame_replays_into_its_shards() {
+        let dir =
+            std::env::temp_dir().join(format!("bff-server-{}-meta-replay", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let nodes: Vec<NodeId> = (0..3).map(NodeId).collect();
+        let topo = BlobTopology::colocated(&nodes, NodeId(4));
+        let cfg = BlobConfig::default();
+        let open = || ServerState::recover(&cfg, &topo, Placement::RoundRobin, &dir).unwrap();
+
+        let (s, _) = open();
+        let keys = keys_on_every_shard(&s, 24);
+        let frame: Vec<(NodeKey, TreeNode)> = keys.iter().map(|&(k, _)| (k, leaf(k))).collect();
+        assert_eq!(
+            s.dispatch(Req::Meta(MetaReq::WriteNodes(frame))),
+            Resp::Meta(MetaResp::Written)
+        );
+        // Kill: no destructor, no fsync — the appended records survive
+        // only as a SIGKILLed process's writes would, in the page cache.
+        std::mem::forget(s);
+
+        let (s, report) = open();
+        assert_eq!(report.journal_records, s.meta.len(), "one record per shard");
+        for shard in 0..s.meta.len() {
+            let want = keys.iter().filter(|&&(_, sh)| sh == shard).count();
+            assert_eq!(s.meta[shard].lock().node_count(), want, "shard {shard}");
+        }
+        let order: Vec<NodeKey> = keys.iter().map(|&(k, _)| k).collect();
+        let want: Vec<TreeNode> = order.iter().map(|&k| leaf(k)).collect();
+        assert_eq!(s.read_nodes(&order), Ok(want));
+        drop(s);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -357,11 +357,9 @@ impl BlobStore {
             let mut vm = srv.vmanager.lock();
             let dead_roots = vm.delete_snapshots(blob, versions)?;
             let live_roots = vm.family_live_roots(blob)?;
-            let span = vm.meta(blob)?.span;
             return Ok(DeleteOutcome {
                 dead_roots,
                 live_roots,
-                span,
             });
         }
         match self.call(Req::Vm(VmReq::DeleteSnapshots {
@@ -412,41 +410,27 @@ impl BlobStore {
     }
 
     // -----------------------------------------------------------------
-    // Metadata shards. One message = one shard-lock acquisition for the
-    // whole batch (the "one metadata round per level" pattern).
+    // Metadata shards. One message = one tree level, whatever shards its
+    // keys live on: the server splits it by shard and takes each shard's
+    // lock once.
     // -----------------------------------------------------------------
 
-    pub(crate) fn meta_read_nodes(
-        &self,
-        shard: usize,
-        keys: Vec<NodeKey>,
-    ) -> BlobResult<Vec<TreeNode>> {
+    pub(crate) fn meta_read_nodes(&self, keys: Vec<NodeKey>) -> BlobResult<Vec<TreeNode>> {
         if let Some(srv) = self.direct() {
-            let part = srv.meta[shard].lock();
-            return keys.into_iter().map(|k| part.get(k)).collect();
+            return srv.read_nodes(&keys);
         }
-        match self.call(Req::Meta {
-            shard: shard as u32,
-            req: MetaReq::ReadNodes(keys),
-        })? {
+        match self.call(Req::Meta(MetaReq::ReadNodes(keys)))? {
             Resp::Meta(MetaResp::Nodes(r)) => r,
             _ => Err(unexpected_resp()),
         }
     }
 
-    pub(crate) fn meta_write_nodes(
-        &self,
-        shard: usize,
-        nodes: Vec<(NodeKey, TreeNode)>,
-    ) -> BlobResult<()> {
+    pub(crate) fn meta_write_nodes(&self, nodes: Vec<(NodeKey, TreeNode)>) -> BlobResult<()> {
         if let Some(srv) = self.direct() {
-            srv.meta[shard].lock().put(nodes);
+            srv.write_nodes(nodes);
             return Ok(());
         }
-        match self.call(Req::Meta {
-            shard: shard as u32,
-            req: MetaReq::WriteNodes(nodes),
-        })? {
+        match self.call(Req::Meta(MetaReq::WriteNodes(nodes)))? {
             Resp::Meta(MetaResp::Written) => Ok(()),
             _ => Err(unexpected_resp()),
         }

@@ -95,7 +95,9 @@ pub enum RouteKey {
     Board,
     /// The cluster-wide dedup index.
     Cluster,
-    /// A metadata shard (all shards share one listener).
+    /// The metadata shards. All shards share one listener and a request
+    /// may span several of them (the server splits it by shard), so
+    /// requests route as `Meta(0)`.
     Meta(u32),
     /// A chunk provider (all providers share one listener).
     Provider(NodeId),

@@ -34,8 +34,6 @@ pub struct DeleteOutcome {
     pub dead_roots: Vec<NodeKey>,
     /// Roots of every still-live version in the blob's clone family.
     pub live_roots: Vec<NodeKey>,
-    /// Chunk span of the blob's metadata trees.
-    pub span: u64,
 }
 
 /// Version-manager requests.
@@ -130,16 +128,18 @@ pub enum PmResp {
     Allocated(BlobResult<Vec<ChunkDesc>>),
 }
 
-/// Metadata-shard requests.
+/// Metadata requests. One message carries a whole tree level: its keys
+/// may live on any shard, and the server groups them by shard, taking
+/// each shard's lock once per message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MetaReq {
-    /// Fetch tree nodes; one shard lock held across the whole batch.
+    /// Fetch tree nodes from any shards.
     ReadNodes(Vec<NodeKey>),
-    /// Store tree nodes; one shard lock held across the whole batch.
+    /// Store tree nodes on their shards (one journal record per shard).
     WriteNodes(Vec<(NodeKey, TreeNode)>),
 }
 
-/// Metadata-shard responses.
+/// Metadata responses.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MetaResp {
     /// Nodes in request order (fails on the first missing key).
@@ -280,13 +280,8 @@ pub enum Req {
     Vm(VmReq),
     /// To the provider manager.
     Pm(PmReq),
-    /// To one metadata shard.
-    Meta {
-        /// Target shard index.
-        shard: u32,
-        /// The shard operation.
-        req: MetaReq,
-    },
+    /// To the metadata service (every shard behind one listener).
+    Meta(MetaReq),
     /// To one chunk provider.
     Provider {
         /// Target provider node.
@@ -323,7 +318,7 @@ impl Req {
         match self {
             Req::Vm(_) => RouteKey::Vm,
             Req::Pm(_) => RouteKey::Pm,
-            Req::Meta { shard, .. } => RouteKey::Meta(*shard),
+            Req::Meta(_) => RouteKey::Meta(0),
             Req::Provider { node, .. } => RouteKey::Provider(*node),
             Req::Board(_) => RouteKey::Board,
             Req::Cluster(_) => RouteKey::Cluster,
@@ -362,13 +357,11 @@ impl Wire for DeleteOutcome {
     fn enc(&self, out: &mut Vec<u8>) {
         self.dead_roots.enc(out);
         self.live_roots.enc(out);
-        put_varint(out, self.span);
     }
     fn dec(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(DeleteOutcome {
             dead_roots: Vec::dec(r)?,
             live_roots: Vec::dec(r)?,
-            span: r.varint()?,
         })
     }
 }
@@ -863,10 +856,9 @@ impl Wire for Req {
                 out.push(1);
                 q.enc(out);
             }
-            Req::Meta { shard, req } => {
+            Req::Meta(q) => {
                 out.push(2);
-                shard.enc(out);
-                req.enc(out);
+                q.enc(out);
             }
             Req::Provider { node, req } => {
                 out.push(3);
@@ -887,10 +879,7 @@ impl Wire for Req {
         match r.byte()? {
             0 => Ok(Req::Vm(VmReq::dec(r)?)),
             1 => Ok(Req::Pm(PmReq::dec(r)?)),
-            2 => Ok(Req::Meta {
-                shard: u32::dec(r)?,
-                req: MetaReq::dec(r)?,
-            }),
+            2 => Ok(Req::Meta(MetaReq::dec(r)?)),
             3 => Ok(Req::Provider {
                 node: NodeId::dec(r)?,
                 req: ProviderReq::dec(r)?,
@@ -970,11 +959,8 @@ mod tests {
                 RouteKey::Pm,
             ),
             (
-                Req::Meta {
-                    shard: 3,
-                    req: MetaReq::ReadNodes(vec![NodeKey(1), NodeKey(9)]),
-                },
-                RouteKey::Meta(3),
+                Req::Meta(MetaReq::ReadNodes(vec![NodeKey(1), NodeKey(9)])),
+                RouteKey::Meta(0),
             ),
             (
                 Req::Provider {

@@ -217,7 +217,6 @@ fn arb_vm_resp(rng: &mut TestRng) -> VmResp {
         7 => VmResp::Deleted(arb_result(rng, |r| DeleteOutcome {
             dead_roots: arb_vec(r, 6, |q| NodeKey(arb_u64(q))),
             live_roots: arb_vec(r, 6, |q| NodeKey(arb_u64(q))),
-            span: arb_u64(r),
         })),
         _ => {
             let start = arb_u64(rng);
@@ -241,9 +240,11 @@ fn arb_pm_resp(rng: &mut TestRng) -> PmResp {
 
 fn arb_meta_req(rng: &mut TestRng) -> MetaReq {
     if rng.below(2) == 0 {
-        MetaReq::ReadNodes(arb_vec(rng, 8, |r| NodeKey(arb_u64(r))))
+        MetaReq::ReadNodes(arb_vec(rng, 32, |r| NodeKey(arb_u64(r))))
     } else {
-        MetaReq::WriteNodes(arb_vec(rng, 8, |r| (NodeKey(arb_u64(r)), arb_tree_node(r))))
+        MetaReq::WriteNodes(arb_vec(rng, 32, |r| {
+            (NodeKey(arb_u64(r)), arb_tree_node(r))
+        }))
     }
 }
 
@@ -366,10 +367,7 @@ fn arb_req(rng: &mut TestRng) -> Req {
     match rng.below(6) {
         0 => Req::Vm(arb_vm_req(rng)),
         1 => Req::Pm(arb_pm_req(rng)),
-        2 => Req::Meta {
-            shard: rng.below(1 << 16) as u32,
-            req: arb_meta_req(rng),
-        },
+        2 => Req::Meta(arb_meta_req(rng)),
         3 => Req::Provider {
             node: arb_node(rng),
             req: arb_provider_req(rng),
@@ -501,20 +499,22 @@ fn every_variant_roundtrips_once() {
             replication: 2,
             down: vec![false, true],
         }),
-        Req::Meta {
-            shard: 1,
-            req: MetaReq::ReadNodes(vec![NodeKey(1)]),
-        },
-        Req::Meta {
-            shard: 2,
-            req: MetaReq::WriteNodes(vec![(
+        Req::Meta(MetaReq::ReadNodes(vec![NodeKey(1), NodeKey(7)])),
+        Req::Meta(MetaReq::WriteNodes(vec![
+            (
                 NodeKey(2),
                 TreeNode::Inner {
                     left: NodeKey(3),
                     right: NodeKey::NULL,
                 },
-            )]),
-        },
+            ),
+            (
+                NodeKey(3),
+                TreeNode::Leaf {
+                    chunk: desc.clone(),
+                },
+            ),
+        ])),
         Req::Provider {
             node: NodeId(1),
             req: ProviderReq::Put(vec![(ChunkId(1), Payload::synth(1, 0, 100))]),
@@ -577,7 +577,6 @@ fn every_variant_roundtrips_once() {
     let outcome = DeleteOutcome {
         dead_roots: vec![NodeKey(1)],
         live_roots: vec![NodeKey(2)],
-        span: 8,
     };
     let resps: Vec<Resp> = vec![
         Resp::Vm(VmResp::Created(Ok(BlobId(1)))),
