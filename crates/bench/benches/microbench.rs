@@ -5,7 +5,7 @@
 use bff_blobseer::segtree::{build_new_tree, collect_leaves, NodeIo};
 use bff_blobseer::{BlobError, BlobResult, ChunkDesc, ChunkId, NodeKey, TreeNode};
 use bff_core::ChunkMap;
-use bff_data::{Payload, RangeSet};
+use bff_data::{Digest, Payload, RangeSet};
 use bff_net::NodeId;
 use bff_qcow2::{MemBacking, MemBlockDev, Qcow2Image};
 use bff_sim::FlowNet;
@@ -120,6 +120,18 @@ fn bench_payload(c: &mut Criterion) {
     group.bench_function("digest_synth_chunk", |b| {
         let p = Payload::synth(7, 0, 256 << 10);
         b.iter(|| p.digest());
+    });
+    // The two per-chunk costs of a commit with dedup on: the record-log
+    // checksum / weak content key, and the byte verification of a dedup
+    // hit against a stored replica (two distinct buffers, equal bytes).
+    group.throughput(Throughput::Bytes(64 << 10));
+    let chunk = Payload::synth(7, 0, 64 << 10).materialize();
+    group.bench_function("checksum_literal_chunk", |b| {
+        b.iter(|| Digest::of(&chunk));
+    });
+    group.bench_function("content_eq_literal_chunk", |b| {
+        let (x, y) = (Payload::from(chunk.clone()), Payload::from(chunk.clone()));
+        b.iter(|| x.content_eq(&y));
     });
     group.finish();
 }

@@ -177,10 +177,10 @@ pub struct BlobConfig {
     /// predicted chunk twice.
     pub chunk_cache_bytes: u64,
     /// Use the cryptographic (SHA-256) content digest for the dedup
-    /// index instead of 64-bit FNV. A strong-digest index hit is
+    /// index instead of 64-bit XXH64. A strong-digest index hit is
     /// collision-resistant, so the commit-by-reference path skips the
     /// byte-verification round against a stored replica. Off by default:
-    /// FNV + verify is the reference behaviour.
+    /// XXH64 + verify is the reference behaviour.
     pub strong_digest: bool,
     /// Emulate the pre-wall-clock global pattern-board mutex: every
     /// board access — including the per-compute-burst prefetch poll —

@@ -1021,6 +1021,23 @@ mod tests {
         Payload::synth(seed, 0, len)
     }
 
+    /// Every record log under `dir` starts with the format magic, and
+    /// no temporary file is left behind.
+    fn assert_log_headers(dir: &Path) {
+        let mut logs = 0;
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            assert_eq!(path.extension().unwrap(), "log", "stray {path:?}");
+            let bytes = std::fs::read(&path).unwrap();
+            assert!(
+                bytes.is_empty() || bytes.starts_with(&bff_data::log::LOG_MAGIC),
+                "{path:?} lost its header"
+            );
+            logs += !bytes.is_empty() as usize;
+        }
+        assert!(logs > 0, "no log written under {dir:?}");
+    }
+
     #[test]
     fn segment_store_roundtrip_and_recovery() {
         let dir = scratch("roundtrip");
@@ -1093,10 +1110,12 @@ mod tests {
         // Recovery after compaction sees exactly the survivors.
         let (s, _, stats) = SegmentStore::open(&dir, seg_bytes).unwrap();
         assert_eq!(stats.chunks, 8);
+        assert_eq!(stats.torn_files, 0);
         assert_eq!(s.disk_bytes(), disk);
         for i in 56..64u64 {
             assert!(s.read(ChunkId(i + 1)).unwrap().content_eq(&blob(i)));
         }
+        assert_log_headers(&dir);
     }
 
     #[test]
@@ -1111,11 +1130,15 @@ mod tests {
         counts.insert(ChunkId(1), 5u64);
         counts.insert(ChunkId(2), 1u64);
         s.maybe_rewrite_refs(&counts).unwrap();
+        // The rewritten log takes appends after its Snapshot record.
+        s.log_retain(ChunkId(2), 1).unwrap();
         s.sync().unwrap();
         drop(s);
-        let (_, refs, _) = SegmentStore::open(&dir, 1 << 20).unwrap();
+        assert_log_headers(&dir);
+        let (_, refs, stats) = SegmentStore::open(&dir, 1 << 20).unwrap();
+        assert_eq!(stats.torn_files, 0);
         assert_eq!(refs.get(&ChunkId(1)), Some(&5));
-        assert_eq!(refs.get(&ChunkId(2)), Some(&1));
+        assert_eq!(refs.get(&ChunkId(2)), Some(&2));
     }
 
     #[test]

@@ -1,26 +1,65 @@
 //! Content digests used for cheap equality checks, and the bounded
 //! [`DigestIndex`] behind content-addressed write deduplication.
 //!
-//! FNV-1a over 64 bits is sufficient here: digests are never used for
-//! security, only to compare payloads without materializing both sides,
-//! and collisions in test-sized inputs are vanishingly unlikely. Dedup
-//! consumers additionally key by payload *length*, shrinking the
-//! collision scope to equal-sized chunks.
+//! [`Digest`] is XXH64 with seed 0 (see the xxHash specification,
+//! `doc/xxhash_spec.md` in the xxHash repository): four independent
+//! 64-bit lanes absorb 32-byte stripes, so it runs at memory speed
+//! rather than one dependent multiply per byte. It is the `RecordLog`
+//! checksum and the weak dedup content key.
+//!
+//! The weak key is collidable on purpose. Nothing trusts it alone: it
+//! only nominates a candidate, and dedup safety rests on the byte
+//! comparison against a stored replica
+//! ([`crate::Payload::content_eq`]) that every weak hit must pass
+//! before reuse. Anyone able to choose chunk contents can construct an
+//! XXH64 collision; the worst they get is a failed verification and a
+//! fresh push. Dedup consumers also key by payload *length*, shrinking
+//! the collision scope to equal-sized chunks. Deployments that want to
+//! skip the verification round use the collision-resistant SHA-256
+//! [`ContentDigest::Strong`] key instead.
 
 use crate::FastMap;
 use std::collections::VecDeque;
 
-/// A 64-bit FNV-1a digest.
+/// A 64-bit XXH64 digest (seed 0).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Digest(pub u64);
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const P5: u64 = 0x27D4_EB2F_1656_67C5;
 
-/// Incremental FNV-1a hasher.
+/// Bytes per stripe: one 8-byte lane for each of the four accumulators.
+const STRIPE: usize = 32;
+
+#[inline(always)]
+fn lane(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b[..8].try_into().expect("8-byte lane"))
+}
+
+#[inline(always)]
+fn round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+#[inline(always)]
+fn merge(acc: u64, v: u64) -> u64 {
+    (acc ^ round(0, v)).wrapping_mul(P1).wrapping_add(P4)
+}
+
+/// Incremental XXH64 hasher. Input may arrive in pieces of any size:
+/// a partial stripe is buffered until the next [`Hasher::update`]
+/// completes it, so the digest depends only on the concatenated bytes.
 #[derive(Debug, Clone)]
 pub struct Hasher {
-    state: u64,
+    acc: [u64; 4],
+    buf: [u8; STRIPE],
+    buffered: usize,
+    total: u64,
 }
 
 impl Default for Hasher {
@@ -32,23 +71,92 @@ impl Default for Hasher {
 impl Hasher {
     /// Start a fresh digest.
     pub fn new() -> Self {
-        Self { state: FNV_OFFSET }
+        Self {
+            acc: [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()],
+            buf: [0; STRIPE],
+            buffered: 0,
+            total: 0,
+        }
+    }
+
+    /// Absorb whole stripes from `data` (whose length is a multiple of
+    /// [`STRIPE`]).
+    #[inline]
+    fn stripes(&mut self, data: &[u8]) {
+        let [mut a, mut b, mut c, mut d] = self.acc;
+        for s in data.chunks_exact(STRIPE) {
+            a = round(a, lane(&s[0..]));
+            b = round(b, lane(&s[8..]));
+            c = round(c, lane(&s[16..]));
+            d = round(d, lane(&s[24..]));
+        }
+        self.acc = [a, b, c, d];
     }
 
     /// Absorb bytes.
     #[inline]
-    pub fn update(&mut self, data: &[u8]) {
-        let mut s = self.state;
-        for &b in data {
-            s ^= b as u64;
-            s = s.wrapping_mul(FNV_PRIME);
+    pub fn update(&mut self, mut data: &[u8]) {
+        self.total += data.len() as u64;
+        if self.buffered > 0 {
+            let n = data.len().min(STRIPE - self.buffered);
+            self.buf[self.buffered..self.buffered + n].copy_from_slice(&data[..n]);
+            self.buffered += n;
+            data = &data[n..];
+            if self.buffered < STRIPE {
+                return;
+            }
+            let stripe = self.buf;
+            self.stripes(&stripe);
+            self.buffered = 0;
         }
-        self.state = s;
+        let whole = data.len() - data.len() % STRIPE;
+        self.stripes(&data[..whole]);
+        let rest = &data[whole..];
+        self.buf[..rest.len()].copy_from_slice(rest);
+        self.buffered = rest.len();
     }
 
-    /// Finish and produce the digest.
+    /// Finish and produce the digest (the hasher may keep absorbing).
     pub fn finish(&self) -> Digest {
-        Digest(self.state)
+        let [a, b, c, d] = self.acc;
+        let mut h = if self.total >= STRIPE as u64 {
+            let h = a
+                .rotate_left(1)
+                .wrapping_add(b.rotate_left(7))
+                .wrapping_add(c.rotate_left(12))
+                .wrapping_add(d.rotate_left(18));
+            [a, b, c, d].into_iter().fold(h, merge)
+        } else {
+            P5
+        };
+        h = h.wrapping_add(self.total);
+        let mut tail = &self.buf[..self.buffered];
+        while tail.len() >= 8 {
+            h = (h ^ round(0, lane(tail)))
+                .rotate_left(27)
+                .wrapping_mul(P1)
+                .wrapping_add(P4);
+            tail = &tail[8..];
+        }
+        if tail.len() >= 4 {
+            let w = u32::from_le_bytes(tail[..4].try_into().expect("4-byte word"));
+            h = (h ^ u64::from(w).wrapping_mul(P1))
+                .rotate_left(23)
+                .wrapping_mul(P2)
+                .wrapping_add(P3);
+            tail = &tail[4..];
+        }
+        for &byte in tail {
+            h = (h ^ u64::from(byte).wrapping_mul(P5))
+                .rotate_left(11)
+                .wrapping_mul(P1);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P3);
+        h ^= h >> 32;
+        Digest(h)
     }
 }
 
@@ -61,11 +169,41 @@ impl Digest {
     }
 }
 
+/// Two different `len`-byte inputs (`len` ≥ 64) with the same XXH64
+/// digest, built the way an adversary would: the first stripes differ
+/// in every lane, and the second stripe of the other input is solved so
+/// that every accumulator lands on the same state (each lane enters its
+/// accumulator additively through an odd multiplier, so it can be
+/// solved for exactly); everything after is shared.
+#[cfg(test)]
+pub(crate) fn colliding_pair(len: usize) -> (Vec<u8>, Vec<u8>) {
+    assert!(len >= 2 * STRIPE);
+    let a: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+    let mut b = a.clone();
+    for byte in &mut b[..STRIPE] {
+        *byte ^= 0xA5;
+    }
+    let (mut ha, mut hb) = (Hasher::new(), Hasher::new());
+    ha.update(&a[..STRIPE]);
+    hb.update(&b[..STRIPE]);
+    // Inverse of P2 modulo 2^64 by Newton iteration.
+    let mut inv = P2;
+    for _ in 0..6 {
+        inv = inv.wrapping_mul(2u64.wrapping_sub(P2.wrapping_mul(inv)));
+    }
+    for i in 0..4 {
+        let at = STRIPE + 8 * i;
+        let fix = ha.acc[i].wrapping_sub(hb.acc[i]).wrapping_mul(inv);
+        b[at..at + 8].copy_from_slice(&lane(&a[at..]).wrapping_add(fix).to_le_bytes());
+    }
+    (a, b)
+}
+
 /// The digest half of a [`ContentKey`]: which hash identified the
 /// content, and its value.
 ///
 /// The two variants correspond to the dedup pipeline's two trust levels.
-/// A [`ContentDigest::Weak`] (64-bit FNV-1a) hit is *advisory*: the
+/// A [`ContentDigest::Weak`] (64-bit XXH64) hit is *advisory*: the
 /// consumer must byte-verify the stored replica before reusing it,
 /// because 64 bits are not collision-proof. A [`ContentDigest::Strong`]
 /// (SHA-256) hit is collision-resistant, so the verification round can
@@ -74,7 +212,7 @@ impl Digest {
 /// equal, so a deployment switching modes mid-life simply re-indexes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ContentDigest {
-    /// 64-bit FNV-1a: cheap, advisory, requires byte verification.
+    /// 64-bit XXH64: cheap, advisory, requires byte verification.
     Weak(Digest),
     /// SHA-256: collision-resistant, trusted without verification.
     Strong(crate::sha256::Sha256Digest),
@@ -219,18 +357,62 @@ mod tests {
 
     #[test]
     fn known_vectors() {
-        // Standard FNV-1a 64 test vectors.
-        assert_eq!(Digest::of(b""), Digest(0xcbf29ce484222325));
-        assert_eq!(Digest::of(b"a"), Digest(0xaf63dc4c8601ec8c));
-        assert_eq!(Digest::of(b"foobar"), Digest(0x85944171f73967e8));
+        // Published XXH64 (seed 0) test vectors.
+        assert_eq!(Digest::of(b""), Digest(0xEF46_DB37_51D8_E999));
+        assert_eq!(Digest::of(b"abc"), Digest(0x44BC_2CF5_AD77_0999));
     }
 
     #[test]
-    fn incremental_equals_oneshot() {
+    fn incremental_equals_oneshot_at_every_split() {
+        let data: Vec<u8> = (0..100u32).map(|i| (i * 31 + 7) as u8).collect();
+        let whole = Digest::of(&data);
+        for split in 0..=data.len() {
+            let mut h = Hasher::new();
+            h.update(&data[..split]);
+            h.update(&data[split..]);
+            assert_eq!(h.finish(), whole, "split at {split}");
+        }
+        // Every prefix length exercises a different tail path.
+        for n in 0..data.len() {
+            let mut h = Hasher::new();
+            for b in &data[..n] {
+                h.update(std::slice::from_ref(b));
+            }
+            assert_eq!(h.finish(), Digest::of(&data[..n]), "prefix {n}");
+        }
+    }
+
+    #[test]
+    fn incremental_equals_oneshot_in_any_piece_size() {
+        let data: Vec<u8> = (0..64u64 << 10)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9) >> 13) as u8)
+            .collect();
+        let whole = Digest::of(&data);
+        for piece in [1, 7, 31, 32, 33, 4096] {
+            let mut h = Hasher::new();
+            for p in data.chunks(piece) {
+                h.update(p);
+            }
+            assert_eq!(h.finish(), whole, "{piece}-byte pieces");
+        }
+    }
+
+    #[test]
+    fn finish_does_not_consume() {
         let mut h = Hasher::new();
         h.update(b"hello ");
+        assert_eq!(h.finish(), Digest::of(b"hello "));
         h.update(b"world");
         assert_eq!(h.finish(), Digest::of(b"hello world"));
+    }
+
+    #[test]
+    fn constructed_collision_collides() {
+        for len in [64, 128, 64 << 10] {
+            let (a, b) = colliding_pair(len);
+            assert_ne!(a, b);
+            assert_eq!(Digest::of(&a), Digest::of(&b), "{len} bytes");
+        }
     }
 
     #[test]

@@ -1,15 +1,24 @@
 //! Append-only record log with torn-tail recovery: the on-disk framing
 //! shared by the durable chunk segments and the metadata journal.
 //!
-//! Every record travels as `[u32 len LE][u64 checksum LE][payload]`,
-//! where the checksum is FNV-1a 64 over the payload bytes. A crash —
-//! including `kill -9` mid-`write` — can leave at most a *torn tail*:
-//! a prefix of a record at the end of the file. [`RecordLog::open`]
+//! A log file starts with the 8-byte [`LOG_MAGIC`] (a 7-byte tag and a
+//! format version byte), written together with the first record. Every
+//! record then travels as `[u32 len LE][u64 checksum LE][payload]`,
+//! where the checksum is the XXH64 [`Digest`] of the payload bytes. A
+//! crash — including `kill -9` mid-`write` — can leave at most a *torn
+//! tail*: a prefix of a record at the end of the file. [`RecordLog::open`]
 //! scans the file front to back, stops at the first record that is
 //! short, oversized or checksum-corrupt, and truncates the file back to
 //! the last good byte. Truncation matters: appending after an
 //! untruncated torn tail would strand every later record behind
 //! unparseable bytes, silently losing them on the *next* replay.
+//!
+//! A non-empty file that does not start with the magic — a log of an
+//! older format, or another file altogether — is refused with
+//! [`io::ErrorKind::InvalidData`] and left untouched: replaying it as
+//! "torn at record 0" would truncate acked data away. A file shorter
+//! than the magic and a prefix of it is a crash during the first append
+//! (nothing in it was ever acked) and is reset to empty.
 //!
 //! The file is created lazily on first append, so opening a log that is
 //! never written leaves no artifact on disk — a server process that
@@ -22,10 +31,18 @@
 //!   the active writer means the durability contract can no longer be
 //!   honored, so append/sync return the error and callers escalate.
 
+use crate::Digest;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+
+/// The first bytes of every log file: the tag `bffrlog` and the format
+/// version (1: XXH64 record checksums).
+pub const LOG_MAGIC: [u8; 8] = *b"bffrlog\x01";
+
+/// Byte offset of the first record (the magic's length).
+const FIRST_RECORD: u64 = LOG_MAGIC.len() as u64;
 
 /// Framing overhead per record: u32 length + u64 checksum.
 pub const RECORD_HEADER: u64 = 12;
@@ -35,15 +52,10 @@ pub const RECORD_HEADER: u64 = 12;
 /// high bit from triggering a multi-gigabyte allocation during replay.
 pub const MAX_RECORD: u32 = 256 << 20;
 
-/// FNV-1a 64-bit over `data` — the record checksum. Not cryptographic;
-/// it exists to catch torn writes and bit rot, not adversaries.
-pub fn fnv64(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// The record checksum. Not cryptographic: it exists to catch torn
+/// writes and bit rot, not adversaries.
+fn checksum(payload: &[u8]) -> u64 {
+    Digest::of(payload).0
 }
 
 /// One recovered record: its byte offset in the file (header included)
@@ -67,7 +79,8 @@ impl RecordLog {
     /// Open (or prepare to create) the log at `path`, replaying every
     /// intact record. Returns the records in append order, the log
     /// positioned for appends, and whether a torn/corrupt tail was
-    /// discarded.
+    /// discarded. A non-empty file without [`LOG_MAGIC`] fails with
+    /// [`io::ErrorKind::InvalidData`] and is not modified.
     pub fn open(path: &Path) -> io::Result<(Vec<Recovered>, RecordLog, bool)> {
         let mut records = Vec::new();
         let mut torn = false;
@@ -76,7 +89,24 @@ impl RecordLog {
             Ok(mut f) => {
                 let mut buf = Vec::new();
                 f.read_to_end(&mut buf)?;
-                let mut pos = 0usize;
+                if buf.len() < LOG_MAGIC.len() && LOG_MAGIC.starts_with(&buf) {
+                    // Empty, or torn while the first append wrote the
+                    // magic: reset below (good_end stays 0).
+                    torn = !buf.is_empty();
+                    buf.clear();
+                } else if !buf.starts_with(&LOG_MAGIC) {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!(
+                            "{}: not a record log of format version {}",
+                            path.display(),
+                            LOG_MAGIC[7]
+                        ),
+                    ));
+                } else {
+                    good_end = FIRST_RECORD;
+                }
+                let mut pos = good_end as usize;
                 loop {
                     let rest = &buf[pos..];
                     if rest.is_empty() {
@@ -94,7 +124,7 @@ impl RecordLog {
                         break;
                     }
                     let payload = &rest[RECORD_HEADER as usize..body_end];
-                    if fnv64(payload) != sum {
+                    if checksum(payload) != sum {
                         torn = true;
                         break;
                     }
@@ -128,14 +158,14 @@ impl RecordLog {
         &self.path
     }
 
-    /// Durable byte length (framing included).
+    /// Durable byte length (magic and framing included).
     pub fn len(&self) -> u64 {
         self.len
     }
 
-    /// Whether nothing has been appended (and nothing was recovered).
+    /// Whether the log holds no records.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len <= FIRST_RECORD
     }
 
     /// Framed size of a payload of `n` bytes.
@@ -161,21 +191,23 @@ impl RecordLog {
 
     /// Append one record, returning the offset its frame starts at.
     /// The record is written with a single `write_all`, so the kernel
-    /// sees header and payload together; durability still requires
-    /// [`RecordLog::sync`].
+    /// sees header and payload together (and, for the first record, the
+    /// file's magic too); durability still requires [`RecordLog::sync`].
     pub fn append(&mut self, payload: &[u8]) -> io::Result<u64> {
         assert!(
             payload.len() as u64 <= MAX_RECORD as u64,
             "record exceeds MAX_RECORD"
         );
-        let off = self.len;
-        let mut frame = Vec::with_capacity(RECORD_HEADER as usize + payload.len());
+        let magic: &[u8] = if self.len == 0 { &LOG_MAGIC } else { &[] };
+        let off = self.len + magic.len() as u64;
+        let mut frame = Vec::with_capacity(magic.len() + RECORD_HEADER as usize + payload.len());
+        frame.extend_from_slice(magic);
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&fnv64(payload).to_le_bytes());
+        frame.extend_from_slice(&checksum(payload).to_le_bytes());
         frame.extend_from_slice(payload);
         let file = self.ensure_file()?;
         file.write_all(&frame)?;
-        self.len = off + frame.len() as u64;
+        self.len += frame.len() as u64;
         self.dirty = true;
         Ok(off)
     }
@@ -188,7 +220,7 @@ impl RecordLog {
         let Some(file) = self.file.as_ref() else {
             return Ok(None);
         };
-        if off + Self::framed_len(len as usize) > self.len {
+        if off < FIRST_RECORD || off + Self::framed_len(len as usize) > self.len {
             return Ok(None);
         }
         let mut header = [0u8; RECORD_HEADER as usize];
@@ -207,7 +239,7 @@ impl RecordLog {
         {
             return Ok(None);
         }
-        if fnv64(&payload) != sum {
+        if checksum(&payload) != sum {
             return Ok(None);
         }
         Ok(Some(payload))
@@ -343,7 +375,8 @@ mod tests {
         drop(log);
         // Flip a payload byte in place.
         let f = OpenOptions::new().write(true).open(&path).unwrap();
-        f.write_all_at(b"X", RECORD_HEADER + 2).unwrap();
+        f.write_all_at(b"X", FIRST_RECORD + RECORD_HEADER + 2)
+            .unwrap();
         drop(f);
         let (recs, log, torn) = RecordLog::open(&path).unwrap();
         assert!(torn, "checksum mismatch discards the record");
@@ -354,9 +387,109 @@ mod tests {
     #[test]
     fn absurd_length_header_is_corruption_not_alloc() {
         let path = scratch("hugelen");
-        std::fs::write(&path, (u32::MAX).to_le_bytes()).unwrap();
+        let mut file = LOG_MAGIC.to_vec();
+        file.extend_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&path, file).unwrap();
         let (recs, _, torn) = RecordLog::open(&path).unwrap();
         assert!(torn);
         assert!(recs.is_empty());
+        assert_eq!(std::fs::read(&path).unwrap(), LOG_MAGIC, "magic kept");
+    }
+
+    #[test]
+    fn first_append_writes_the_magic() {
+        let path = scratch("magic");
+        let (_, mut log, _) = RecordLog::open(&path).unwrap();
+        assert!(log.is_empty());
+        let off = log.append(b"first").unwrap();
+        assert_eq!(off, FIRST_RECORD);
+        assert!(!log.is_empty());
+        assert_eq!(log.len(), FIRST_RECORD + RecordLog::framed_len(5));
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes[..LOG_MAGIC.len()], LOG_MAGIC);
+        assert_eq!(bytes.len() as u64, log.len());
+        assert_eq!(log.read_record(off, 5).unwrap().unwrap(), b"first");
+    }
+
+    #[test]
+    fn one_bit_flip_in_a_64k_record_is_caught() {
+        let path = scratch("bitflip");
+        let payload: Vec<u8> = (0..64u32 << 10).map(|i| ((i * 131) >> 3) as u8).collect();
+        let (_, mut log, _) = RecordLog::open(&path).unwrap();
+        let off = log.append(&payload).unwrap();
+        log.sync().unwrap();
+        drop(log);
+        let pristine = std::fs::read(&path).unwrap();
+        let frame = RecordLog::framed_len(payload.len());
+        // Every byte of the frame header, a coprime stride through the
+        // payload (cycling the bit too), and the last byte.
+        let targets = (0..RECORD_HEADER)
+            .chain((RECORD_HEADER..frame).step_by(251))
+            .chain([frame - 1]);
+        for (i, at) in targets.enumerate() {
+            let mut damaged = pristine.clone();
+            damaged[(off + at) as usize] ^= 1 << (i % 8);
+            std::fs::write(&path, &damaged).unwrap();
+            let (recs, log, torn) = RecordLog::open(&path).unwrap();
+            assert_eq!(log.read_record(off, payload.len() as u32).unwrap(), None);
+            assert!(
+                torn && recs.is_empty(),
+                "flip at frame byte {at} not caught"
+            );
+            drop(log);
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                LOG_MAGIC,
+                "open truncates the damaged record"
+            );
+        }
+        // The bit-flip check above also holds without a reopen: a
+        // damaged record on a live log reads back as `None`.
+        std::fs::write(&path, &pristine).unwrap();
+        let (recs, log, torn) = RecordLog::open(&path).unwrap();
+        assert!(!torn && recs.len() == 1);
+        let f = OpenOptions::new().write(true).open(&path).unwrap();
+        let last = pristine.len() - 1;
+        f.write_all_at(&[pristine[last] ^ 0x80], last as u64)
+            .unwrap();
+        assert_eq!(log.read_record(off, payload.len() as u32).unwrap(), None);
+    }
+
+    #[test]
+    fn headerless_file_is_refused_untouched() {
+        // A log of the previous format: one `[len][checksum][payload]`
+        // frame and no magic.
+        let path = scratch("headerless");
+        let mut old = Vec::new();
+        old.extend_from_slice(&5u32.to_le_bytes());
+        old.extend_from_slice(&0x1234_5678_9abc_def0u64.to_le_bytes());
+        old.extend_from_slice(b"acked");
+        for bytes in [&old[..], &old[..3], b"bffrlog\x00"] {
+            std::fs::write(&path, bytes).unwrap();
+            let err = RecordLog::open(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "file left untouched");
+        }
+    }
+
+    #[test]
+    fn torn_magic_is_reset() {
+        let path = scratch("tornmagic");
+        for k in 1..LOG_MAGIC.len() {
+            std::fs::write(&path, &LOG_MAGIC[..k]).unwrap();
+            let (recs, mut log, torn) = RecordLog::open(&path).unwrap();
+            assert!(torn && recs.is_empty(), "{k}-byte magic prefix");
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), 0, "reset");
+            log.append(b"fresh").unwrap();
+            drop(log);
+            let (recs, _, torn) = RecordLog::open(&path).unwrap();
+            assert!(!torn);
+            assert_eq!(recs, vec![(FIRST_RECORD, b"fresh".to_vec())]);
+        }
+        // The whole magic and no record is a clean, empty log.
+        std::fs::write(&path, LOG_MAGIC).unwrap();
+        let (recs, mut log, torn) = RecordLog::open(&path).unwrap();
+        assert!(!torn && recs.is_empty() && log.is_empty());
+        assert_eq!(log.append(b"next").unwrap(), FIRST_RECORD);
     }
 }

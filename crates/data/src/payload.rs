@@ -124,6 +124,75 @@ pub enum SegView<'a> {
     },
 }
 
+/// Bytes a synthetic or zero segment yields per step when streamed
+/// (digests, comparisons): small enough for a stack buffer.
+const WINDOW: usize = 4096;
+
+/// The source of zero-run windows.
+static ZEROS: [u8; WINDOW] = [0; WINDOW];
+
+/// A read position in a rope that exposes the bytes ahead of it as one
+/// contiguous window, so two ropes with different segment boundaries
+/// can be walked in step: literal segments are exposed in place, zero
+/// runs from [`ZEROS`], and synthetic segments through a stack buffer
+/// that stays valid until the cursor leaves it.
+struct Cursor<'a> {
+    segs: std::slice::Iter<'a, Seg>,
+    seg: Option<&'a Seg>,
+    /// Offset of the next unread byte within `seg`.
+    at: u64,
+    buf: [u8; WINDOW],
+    /// The `seg`-relative range `buf` holds (synthetic segments only).
+    held: std::ops::Range<u64>,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(p: &'a Payload) -> Self {
+        let mut segs = p.segs.iter();
+        let seg = segs.next();
+        Self {
+            segs,
+            seg,
+            at: 0,
+            buf: [0; WINDOW],
+            held: 0..0,
+        }
+    }
+
+    /// The unread bytes from the cursor on, up to the end of the current
+    /// segment (or of its buffered window); empty at the end of the rope.
+    fn window(&mut self) -> &[u8] {
+        let Some(seg) = self.seg else {
+            return &[];
+        };
+        let rem = seg.len() - self.at;
+        match seg {
+            Seg::Bytes(b) => &b[self.at as usize..],
+            Seg::Zero { .. } => &ZEROS[..rem.min(WINDOW as u64) as usize],
+            Seg::Synth { seed, start, .. } => {
+                if !self.held.contains(&self.at) {
+                    let n = rem.min(WINDOW as u64);
+                    SynthSource::new(*seed).fill(start + self.at, &mut self.buf[..n as usize]);
+                    self.held = self.at..self.at + n;
+                }
+                let from = (self.at - self.held.start) as usize;
+                let to = (self.held.end - self.held.start) as usize;
+                &self.buf[from..to]
+            }
+        }
+    }
+
+    /// Consume `n` bytes of the current window.
+    fn advance(&mut self, n: usize) {
+        self.at += n as u64;
+        if self.seg.is_some_and(|seg| self.at == seg.len()) {
+            self.seg = self.segs.next();
+            self.at = 0;
+            self.held = 0..0;
+        }
+    }
+}
+
 /// A cheaply sliceable and concatenable byte sequence.
 ///
 /// Cloning is O(number of segments); slicing shares underlying literal
@@ -301,56 +370,38 @@ impl Payload {
         v
     }
 
-    /// Content digest, computed without allocating the whole payload at
-    /// once (synthetic segments are streamed through a small buffer).
+    /// Feed the contents to `f` in order, as the contiguous windows a
+    /// [`Cursor`] yields, so nothing is materialized whole.
+    fn for_each_window(&self, mut f: impl FnMut(&[u8])) {
+        let mut cursor = Cursor::new(self);
+        loop {
+            let window = cursor.window();
+            if window.is_empty() {
+                return;
+            }
+            let n = window.len();
+            f(window);
+            cursor.advance(n);
+        }
+    }
+
+    /// Content digest (XXH64), streamed window by window so synthetic
+    /// segments never materialize whole.
     pub fn digest(&self) -> Digest {
         let mut h = Hasher::new();
-        let mut buf = [0u8; 4096];
-        for seg in &self.segs {
-            match seg {
-                Seg::Bytes(b) => h.update(b),
-                _ => {
-                    let mut remaining = seg.len();
-                    let mut at = 0u64;
-                    while remaining > 0 {
-                        let n = remaining.min(buf.len() as u64) as usize;
-                        seg.slice(at, at + n as u64).write_into(&mut buf[..n]);
-                        h.update(&buf[..n]);
-                        at += n as u64;
-                        remaining -= n as u64;
-                    }
-                }
-            }
-        }
+        self.for_each_window(|w| h.update(w));
         h.finish()
     }
 
-    /// SHA-256 content digest, streamed like [`Payload::digest`] so
-    /// synthetic segments never materialize whole.
+    /// SHA-256 content digest, streamed like [`Payload::digest`].
     pub fn digest_sha256(&self) -> crate::sha256::Sha256Digest {
         let mut h = crate::sha256::Sha256::new();
-        let mut buf = [0u8; 4096];
-        for seg in &self.segs {
-            match seg {
-                Seg::Bytes(b) => h.update(b),
-                _ => {
-                    let mut remaining = seg.len();
-                    let mut at = 0u64;
-                    while remaining > 0 {
-                        let n = remaining.min(buf.len() as u64) as usize;
-                        seg.slice(at, at + n as u64).write_into(&mut buf[..n]);
-                        h.update(&buf[..n]);
-                        at += n as u64;
-                        remaining -= n as u64;
-                    }
-                }
-            }
-        }
+        self.for_each_window(|w| h.update(w));
         h.finish()
     }
 
     /// The digest half of this payload's dedup [`crate::ContentKey`]:
-    /// weak (FNV-64, consumer must byte-verify hits) or strong (SHA-256,
+    /// weak (XXH64, consumer must byte-verify hits) or strong (SHA-256,
     /// hits trusted outright).
     pub fn content_digest(&self, strong: bool) -> crate::ContentDigest {
         if strong {
@@ -360,8 +411,17 @@ impl Payload {
         }
     }
 
-    /// Whether the contents equal `other` byte-for-byte. Fast paths on
-    /// structural equality of synthetic descriptors.
+    /// Whether the contents equal `other` byte-for-byte.
+    ///
+    /// This is an exact comparison, never a digest comparison: it is
+    /// what makes a weak-digest dedup hit safe to reuse, so a
+    /// constructed hash collision cannot pass it. Identical
+    /// single-segment zero or synthetic descriptors answer without
+    /// touching bytes. Otherwise both ropes are walked in step over
+    /// overlapping windows: literal bytes are compared in place, and
+    /// synthetic and zero runs are produced through 4 KiB stack buffers,
+    /// so the cost is one pass over the bytes and nothing is
+    /// materialized whole.
     pub fn content_eq(&self, other: &Payload) -> bool {
         if self.len != other.len {
             return false;
@@ -388,7 +448,22 @@ impl Payload {
                 _ => {}
             }
         }
-        self.digest() == other.digest()
+        let (mut a, mut b) = (Cursor::new(self), Cursor::new(other));
+        loop {
+            let (wa, wb) = (a.window(), b.window());
+            let n = wa.len().min(wb.len());
+            if n == 0 {
+                // Equal lengths: both ropes end together.
+                return true;
+            }
+            // Windows over the same memory (shared literal buffers, zero
+            // runs) are equal without a scan.
+            if wa.as_ptr() != wb.as_ptr() && wa[..n] != wb[..n] {
+                return false;
+            }
+            a.advance(n);
+            b.advance(n);
+        }
     }
 
     fn single_seg(&self) -> Option<&Seg> {
@@ -638,6 +713,45 @@ mod tests {
         // And slicing + rejoining preserves it.
         let r = p.slice(0, 1234).concat(p.slice(1234, 9000));
         assert_eq!(r.digest(), p.digest());
+        // A mixed rope (literal, synthetic and zero segments) digests
+        // like its literal materialization, in one piece or in many.
+        let mixed = Payload::from(&b"head"[..])
+            .concat(Payload::synth(3, 17, 10_000))
+            .concat(Payload::zeros(5000))
+            .concat(Payload::from(vec![7u8; 33]));
+        let flat = mixed.materialize();
+        assert_eq!(mixed.digest(), Digest::of(&flat));
+        assert_eq!(Payload::from(flat.clone()).digest(), Digest::of(&flat));
+        let pieces = flat
+            .chunks(777)
+            .fold(Payload::empty(), |acc, c| acc.concat(Payload::from(c)));
+        assert_eq!(pieces.digest(), mixed.digest());
+    }
+
+    #[test]
+    fn content_eq_compares_bytes_not_digests() {
+        // Equal lengths and segment structure, one byte apart: only a
+        // byte comparison can tell, whatever the representation.
+        let synth = Payload::synth(11, 0, 10_000);
+        let mut bytes = synth.materialize();
+        bytes[9_999] ^= 1;
+        assert!(!synth.content_eq(&Payload::from(bytes.clone())));
+        bytes[9_999] ^= 1;
+        let lit = Payload::from(bytes);
+        assert!(synth.content_eq(&lit) && lit.content_eq(&synth));
+        // Zero runs against literal zeros and against a non-zero byte.
+        let z = Payload::zeros(9000);
+        assert!(z.content_eq(&Payload::from(vec![0u8; 9000])));
+        assert!(!z.content_eq(&z.overwrite(8999, Payload::from(&[1u8][..]))));
+        // Shared literal buffers compare equal at any offset split.
+        let a = lit.slice(0, 5000).concat(lit.slice(5000, 10_000));
+        assert!(a.content_eq(&lit));
+        // A constructed weak-digest collision: same length, same digest,
+        // different bytes.
+        let (x, y) = crate::digest::colliding_pair(64 << 10);
+        let (x, y) = (Payload::from(x), Payload::from(y));
+        assert_eq!(x.digest(), y.digest());
+        assert!(!x.content_eq(&y) && x != y);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! for the *strong* content-addressing mode of the dedup pipeline
 //! ([`crate::digest::ContentDigest::Strong`]): with a collision-resistant
 //! digest, an index hit can be trusted without the byte-verification
-//! round the 64-bit FNV key requires.
+//! round the 64-bit XXH64 key requires.
 //!
 //! The implementation is the straightforward streaming one — incremental
 //! `update` over a 64-byte block buffer — validated against the FIPS

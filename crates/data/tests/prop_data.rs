@@ -2,7 +2,7 @@
 //! sets and extent maps are each checked against brute-force reference
 //! models over randomly generated operation sequences.
 
-use bff_data::payload::Payload;
+use bff_data::payload::{Payload, SegView};
 use bff_data::rangeset::RangeSet;
 use bff_data::synth::SynthSource;
 use bff_data::{chunk_cover, chunk_range, intersect, ExtentMap};
@@ -165,5 +165,100 @@ proptest! {
         let last = chunk_range(cover.end - 1, cs, image_len);
         prop_assert!(first.start < e && s < first.end, "first chunk must intersect");
         prop_assert!(last.start < e && s < last.end, "last chunk must intersect");
+    }
+}
+
+/// A rope from `(kind, len, seed)` specs: literal bytes, a synthetic
+/// extent, or zero-fill.
+fn rope(specs: &[(u8, u64, u64)]) -> Payload {
+    specs
+        .iter()
+        .fold(Payload::empty(), |acc, &(kind, len, seed)| {
+            acc.concat(match kind {
+                0 => Payload::from(
+                    (0..len)
+                        .map(|i| (seed.wrapping_add(i * 29) >> 3) as u8)
+                        .collect::<Vec<u8>>(),
+                ),
+                1 => Payload::synth(seed % 4, seed % 1000, len),
+                _ => Payload::zeros(len),
+            })
+        })
+}
+
+/// The same bytes as `p` in a different representation: cut at `cuts`,
+/// each piece either kept as `p`'s own segments or turned literal.
+fn recut(p: &Payload, cuts: &[u64], literal_mask: u64) -> Payload {
+    let mut points: Vec<u64> = cuts.iter().map(|c| c % (p.len() + 1)).collect();
+    points.extend([0, p.len()]);
+    points.sort_unstable();
+    points.dedup();
+    let mut out = Payload::empty();
+    for (i, w) in points.windows(2).enumerate() {
+        let piece = p.slice(w[0], w[1]);
+        out.append(if literal_mask >> (i % 64) & 1 == 1 {
+            Payload::from(piece.materialize())
+        } else {
+            piece
+        });
+    }
+    out
+}
+
+/// The first and last byte of every segment of `p`.
+fn segment_edges(p: &Payload) -> Vec<u64> {
+    let mut edges = Vec::new();
+    let mut at = 0u64;
+    for seg in p.segments() {
+        let len = match seg {
+            SegView::Bytes(b) => b.len() as u64,
+            SegView::Synth { len, .. } | SegView::Zero { len } => len,
+        };
+        edges.extend([at, at + len - 1]);
+        at += len;
+    }
+    edges
+}
+
+fn arb_rope_specs() -> impl Strategy<Value = Vec<(u8, u64, u64)>> {
+    prop::collection::vec((0u8..3, 1u64..6000, any::<u64>()), 1..6)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `content_eq` is exactly byte equality of the materializations,
+    /// across ropes that mix literal, synthetic and zero segments cut at
+    /// random points, and one flipped byte at any segment edge of either
+    /// rope (or at the last byte) makes it false.
+    #[test]
+    fn content_eq_is_byte_equality(
+        specs_a in arb_rope_specs(),
+        specs_b in arb_rope_specs(),
+        cuts in prop::collection::vec(any::<u64>(), 0..8),
+        literal_mask in any::<u64>(),
+    ) {
+        let a = rope(&specs_a);
+        let same = recut(&a, &cuts, literal_mask);
+        prop_assert_eq!(same.materialize(), a.materialize());
+        prop_assert!(a.content_eq(&same) && same.content_eq(&a));
+        prop_assert_eq!(a.digest(), same.digest());
+
+        // An independent rope of the same length: equal iff the bytes are.
+        let b = rope(&specs_b);
+        let n = a.len().min(b.len());
+        let (a_n, b_n) = (a.slice(0, n), recut(&b.slice(0, n), &cuts, !literal_mask));
+        let bytes_equal = a_n.materialize() == b_n.materialize();
+        prop_assert_eq!(a_n.content_eq(&b_n), bytes_equal);
+        prop_assert_eq!(b_n.content_eq(&a_n), bytes_equal);
+
+        let mut edges = segment_edges(&a);
+        edges.extend(segment_edges(&same));
+        edges.push(a.len() - 1);
+        for at in edges {
+            let flipped = same.overwrite(at, Payload::from(vec![same.byte_at(at) ^ 0xA5]));
+            prop_assert!(!a.content_eq(&flipped), "flip at {} missed", at);
+            prop_assert!(!flipped.content_eq(&a), "flip at {} missed", at);
+        }
     }
 }

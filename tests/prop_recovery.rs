@@ -3,10 +3,12 @@
 //! write — the file loses its tail, or a byte is damaged in place) must
 //! leave a state that replay either fully restores or cleanly truncates
 //! to a prefix of what was appended. Recovery never panics, never
-//! errors, and never serves chunk bytes that differ from what was
-//! originally put — a torn or flipped tail may *lose* trailing records
-//! (that is what the fsync-on-ack barrier is for), but it can never
-//! *corrupt* surviving ones.
+//! errors on a torn or flipped record, and never serves chunk bytes
+//! that differ from what was originally put — a torn or flipped tail
+//! may *lose* trailing records (that is what the fsync-on-ack barrier
+//! is for), but it can never *corrupt* surviving ones. The one error is
+//! a damaged format magic at the head of a file: that file is refused
+//! and left exactly as it was, never truncated.
 //!
 //! Three layers are attacked independently: the raw [`RecordLog`]
 //! framing, the provider's log-structured [`SegmentStore`] (including
@@ -15,6 +17,7 @@
 
 use bff::blobseer::durable::{Journal, SegmentStore};
 use bff::blobseer::{ChunkId, DurabilityStats, GroupCommit};
+use bff::data::log::LOG_MAGIC;
 use bff::data::{Payload, RecordLog};
 use bff::wire::msg::VmReq;
 use proptest::prelude::*;
@@ -103,7 +106,9 @@ proptest! {
 
     /// Flipping any single byte recovers an exact prefix: the checksum
     /// catches the damage and replay stops cleanly at the first bad
-    /// record instead of panicking or returning garbage.
+    /// record instead of panicking or returning garbage. A flip inside
+    /// the file's format magic is refused as `InvalidData` and leaves
+    /// the damaged file byte-identical.
     #[test]
     fn record_log_flip_recovers_prefix(
         payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..300), 1..24),
@@ -118,6 +123,14 @@ proptest! {
         drop(log);
 
         flip_byte(&path, at);
+        let damaged = std::fs::read(&path).unwrap();
+        if at % damaged.len() < LOG_MAGIC.len() {
+            let err = RecordLog::open(&path).unwrap_err();
+            prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            prop_assert_eq!(std::fs::read(&path).unwrap(), damaged, "refused file untouched");
+            let _ = std::fs::remove_dir_all(&dir);
+            return Ok(());
+        }
         let (records, _, _) = RecordLog::open(&path).unwrap();
         prop_assert!(records.len() < payloads.len(), "damage always loses the hit record");
         for (got, want) in records.iter().zip(&payloads) {
