@@ -58,8 +58,9 @@ pub enum ReplicationMode {
 /// cost):
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportMode {
-    /// In-process zero-copy dispatch against locally held server state —
-    /// the historical behaviour and the equivalence baseline.
+    /// In-process: typed requests go straight into
+    /// [`crate::ServerState::dispatch`] on locally held server state, with
+    /// no encoding — the equivalence baseline.
     Direct,
     /// In-process, but every request/response round-trips through the
     /// full `bff-wire` binary codec. Anything that could not cross a

@@ -896,16 +896,26 @@ pub struct Journal {
 impl Journal {
     /// Open (or create) the journal at `path`, returning the replayable
     /// records in append order and whether a torn tail was discarded.
+    ///
+    /// A checksum-clean record that does not decode fails the open with
+    /// [`io::ErrorKind::InvalidData`] and leaves the file as it is: the
+    /// log header already rules out format skew, so such a record is an
+    /// acked mutation that replay cannot apply, and skipping it would
+    /// silently lose it.
     pub fn open(path: &Path) -> io::Result<(Vec<JournalRecord>, Journal, bool)> {
         let (raw, log, torn) = RecordLog::open(path)?;
         let mut records = Vec::with_capacity(raw.len());
         let (mut key_mark, mut chunk_mark) = (0u64, 0u64);
-        for (_, payload) in raw {
-            // Checksum-clean but undecodable means version skew; skip
-            // the record rather than the journal.
-            let Ok(rec) = bff_wire::decode::<JournalRecord>(&payload) else {
-                continue;
-            };
+        for (offset, payload) in raw {
+            let rec = bff_wire::decode::<JournalRecord>(&payload).map_err(|e| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "{}: undecodable journal record at byte {offset}: {e}",
+                        path.display()
+                    ),
+                )
+            })?;
             match rec {
                 JournalRecord::KeyMark(k) => key_mark = key_mark.max(k),
                 JournalRecord::ChunkMark(c) => chunk_mark = chunk_mark.max(c),
@@ -1234,5 +1244,31 @@ mod tests {
             records[3],
             JournalRecord::MetaNodes { shard: 3, .. }
         ));
+    }
+
+    #[test]
+    fn journal_refuses_undecodable_record() {
+        let dir = scratch("journal-garbage");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("journal.log");
+        {
+            let (_, mut j, _) = Journal::open(&path).unwrap();
+            j.append_vm(&VmReq::CreateBlob {
+                size: 1 << 20,
+                chunk_size: 4096,
+            })
+            .unwrap();
+            j.sync().unwrap();
+        }
+        {
+            // Checksum-clean framing around a payload no record decodes.
+            let (_, mut log, _) = RecordLog::open(&path).unwrap();
+            log.append(&[0xFF, 0xEE, 0xDD]).unwrap();
+            log.sync().unwrap();
+        }
+        let before = std::fs::read(&path).unwrap();
+        let err = Journal::open(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(std::fs::read(&path).unwrap(), before, "file untouched");
     }
 }

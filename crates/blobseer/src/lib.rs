@@ -22,8 +22,8 @@
 //! providers, pattern board, cluster index) behind a typed message
 //! boundary ([`bff_wire`]); a [`service::BlobStore`] is the client-side
 //! handle that reaches them through a [`bff_net::transport::Transport`]
-//! — direct (zero-copy, in-process), codec (every message round-trips
-//! encode/decode), or socket (framed TCP, optionally to other
+//! — direct (typed values into [`server::ServerState::dispatch`], no
+//! encoding), codec (every message round-trips encode/decode), or socket (framed TCP, optionally to other
 //! processes). [`client::Client`] executes the protocol and charges
 //! every message/disk access to a [`bff_net::Fabric`], so the identical
 //! code runs in-process (real bytes) and on the simulator (virtual

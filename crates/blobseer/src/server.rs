@@ -5,16 +5,19 @@
 //! the protocol — version manager, provider manager, metadata shards,
 //! chunk providers, the pattern board and the cluster dedup index — and
 //! answers [`bff_wire::Req`] values with [`bff_wire::Resp`] values.
-//! Every request maps to exactly the lock-acquisition pattern the direct
-//! in-process path uses: a batch request takes its state machine's lock
-//! once for the whole batch, a per-item request once per message. That
-//! keeps the `coarse_*` contention ablations meaningful regardless of
-//! which transport carried the frame.
+//! [`ServerState::dispatch`] is the one implementation of every
+//! operation: a batch request takes its state machine's lock once for
+//! the whole batch, a per-item request once per message, and mutations
+//! are journaled on durable deployments, whichever transport carried
+//! the request. That keeps the `coarse_*` contention ablations
+//! meaningful on every transport.
 //!
-//! [`ServerState::handle_frame`] is the `bff_net::FrameHandler` entry
-//! point: decode → dispatch → encode, never panicking on input. Both the
-//! in-process transports and the standalone `blob_server` processes (see
-//! the `bff-bench` crate) serve frames through it.
+//! The direct transport calls [`ServerState::dispatch`] with the typed
+//! value. [`ServerState::handle_frame`] is the `bff_net::FrameHandler`
+//! entry point for everything else: decode → dispatch → encode, never
+//! panicking on input. The codec and in-process socket transports and
+//! the standalone `blob_server` processes (see the `bff-bench` crate)
+//! serve frames through it.
 
 use crate::api::{BlobConfig, BlobTopology};
 use crate::board::BoardService;
@@ -88,8 +91,8 @@ impl JournalHandle {
 /// The server half of a deployment: every passive state machine, guarded
 /// exactly as in the historical in-process layout.
 pub struct ServerState {
-    pub(crate) vmanager: Mutex<VManager>,
-    pub(crate) pmanager: Mutex<PManager>,
+    vmanager: Mutex<VManager>,
+    pmanager: Mutex<PManager>,
     pub(crate) meta: Vec<Mutex<MetaPartition>>,
     /// Sharded one lock per provider: data-plane requests on distinct
     /// providers never contend (see [`ProviderStore`]).
@@ -99,8 +102,8 @@ pub struct ServerState {
     pub(crate) pattern_board: BoardService,
     /// The cluster-wide content-addressed dedup index. Read-mostly after
     /// deployment convergence, so a read/write lock; hot-path
-    /// acquisitions go through [`ServerState::cluster_read`] /
-    /// [`ServerState::cluster_write`] and are contention-counted.
+    /// acquisitions go through `cluster_read` / `cluster_write` and are
+    /// contention-counted.
     pub(crate) cluster_index: RwLock<ClusterIndex>,
     cluster_probe: LockProbe,
     /// The mutation journal, present only on durable deployments (see
@@ -282,12 +285,12 @@ impl ServerState {
 
     /// Shared read access to the cluster dedup index, contention-counted
     /// (the commit-probe hot path).
-    pub(crate) fn cluster_read(&self) -> RwLockReadGuard<'_, ClusterIndex> {
+    fn cluster_read(&self) -> RwLockReadGuard<'_, ClusterIndex> {
         probed_read(&self.cluster_probe, &self.cluster_index)
     }
 
     /// Exclusive access to the cluster dedup index, contention-counted.
-    pub(crate) fn cluster_write(&self) -> RwLockWriteGuard<'_, ClusterIndex> {
+    fn cluster_write(&self) -> RwLockWriteGuard<'_, ClusterIndex> {
         probed_write(&self.cluster_probe, &self.cluster_index)
     }
 
@@ -310,9 +313,9 @@ impl ServerState {
 
     /// Serve one typed request against the passive state machines.
     ///
-    /// A request for an *unknown provider node* answers exactly like the
-    /// direct path's `ProviderStore` (absent chunk / rejected op), so
-    /// per-chunk failover semantics survive the transport unchanged.
+    /// A request for an *unknown provider node* answers as an absent
+    /// chunk / rejected op, so per-chunk failover semantics are the same
+    /// on every transport.
     pub fn dispatch(&self, req: Req) -> Resp {
         match req {
             Req::Vm(q) => Resp::Vm(self.dispatch_vm(q)),
@@ -393,8 +396,7 @@ impl ServerState {
             }
             VmReq::DeleteSnapshots { blob, versions } => {
                 // Compound under ONE lock: the delete and the live-root
-                // frontier snapshot must be atomic, exactly as in the
-                // direct path's critical section. Only the sync barrier
+                // frontier snapshot must be atomic. Only the sync barrier
                 // moves outside it.
                 let mut ticket = None;
                 let res = {
@@ -482,7 +484,7 @@ impl ServerState {
     /// Serve one metadata read frame: keys from any shards, each
     /// shard's lock taken once. Nodes come back in request order; the
     /// first missing key in request order fails the whole frame.
-    pub(crate) fn read_nodes(&self, keys: &[NodeKey]) -> BlobResult<Vec<TreeNode>> {
+    fn read_nodes(&self, keys: &[NodeKey]) -> BlobResult<Vec<TreeNode>> {
         let mut out: Vec<Option<TreeNode>> = vec![None; keys.len()];
         for (shard, group) in self
             .by_shard(keys.iter().copied().enumerate(), |&(_, k)| k)
@@ -511,7 +513,7 @@ impl ServerState {
     /// publish that references them, and the publish's own fsync covers
     /// every record appended before it. Ordering with the shard locks
     /// is immaterial — node keys are write-once with identical content.
-    pub(crate) fn write_nodes(&self, nodes: Vec<(NodeKey, TreeNode)>) {
+    fn write_nodes(&self, nodes: Vec<(NodeKey, TreeNode)>) {
         let groups = self.by_shard(nodes, |(k, _)| *k);
         if let Some(j) = &self.journal {
             let mut journal = j.journal.lock();
@@ -572,8 +574,7 @@ impl ServerState {
                 min_publishers,
             } => BoardResp::Sequence(
                 self.pattern_board
-                    .sequence_with_confidence(key, min_publishers)
-                    .map(|(seq, conf)| ((*seq).clone(), conf)),
+                    .sequence_with_confidence(key, min_publishers),
             ),
             BoardReq::Purge { keys, freed } => {
                 // Snapshot-GC hygiene for both services hosted beside the
@@ -602,7 +603,7 @@ impl ServerState {
             }
             ClusterReq::GetExclusive(key) => {
                 // The coarse-probe ablation: one exclusive acquisition
-                // per key, exactly as the direct path models it.
+                // per key.
                 ClusterResp::GotOne(self.cluster_write().get(&key))
             }
             ClusterReq::NovelOf(keys) => {

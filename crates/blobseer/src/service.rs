@@ -11,19 +11,14 @@
 //!
 //! The typed accessor methods here (`vm_*`, `pm_*`, `meta_*`,
 //! `provider_*`, `board_*`, `cluster_*`) are the *entire* client→server
-//! surface. Each has two paths:
-//!
-//! * **direct** — the transport is [`DirectTransport`] and the server
-//!   state lives in this process: the method runs today's exact
-//!   zero-copy code against the state machines (no message exists);
-//! * **wire** — the request is encoded as a [`bff_wire::Req`] frame,
-//!   carried by the transport (in-process codec round-trip or real TCP),
-//!   dispatched by [`ServerState::dispatch`] on the serving side, and
-//!   the decoded [`bff_wire::Resp`] is unpacked.
-//!
-//! Both paths acquire server-side locks with identical granularity, and
-//! every *modelled* cost was already charged to the fabric by the caller
-//! — so logical outcomes are transport-invariant (the
+//! surface, and each takes one path: build the [`bff_wire::Req`], hand
+//! it to `BlobStore::call`, unpack the [`bff_wire::Resp`]. Every request
+//! is served by [`ServerState::dispatch`]. Under [`DirectTransport`] the
+//! typed value goes straight into it; the codec and socket transports
+//! encode it as a frame, carry it, and decode the reply. Server-side
+//! locking, journaling and every *modelled* cost (already charged to the
+//! fabric by the caller) are therefore the same on all three transports,
+//! so logical outcomes are transport-invariant (the
 //! `cross_stack_equivalence` suite pins this).
 
 use crate::api::{BlobConfig, BlobId, BlobTopology, ChunkDesc, ChunkId, TransportMode, Version};
@@ -95,13 +90,8 @@ impl BlobStore {
     /// providers (one directory per provider node) plus the mutation
     /// journal, both replayed before the handle is returned — the
     /// in-process twin of attaching to `blob_server --data-dir`
-    /// processes via [`BlobStore::remote`].
-    ///
-    /// Requires a message transport ([`TransportMode::Codec`] or
-    /// [`TransportMode::Socket`]): journaling lives in
-    /// [`ServerState::dispatch`], which the direct zero-copy accessors
-    /// bypass — a direct-transport durable deployment would ack
-    /// mutations without ever journaling them.
+    /// processes via [`BlobStore::remote`]. Any transport works: every
+    /// request reaches [`ServerState::dispatch`], which journals it.
     pub fn durable(
         cfg: BlobConfig,
         topo: BlobTopology,
@@ -109,11 +99,6 @@ impl BlobStore {
         placement: Placement,
         data_dir: &std::path::Path,
     ) -> std::io::Result<(Arc<Self>, crate::durable::RecoveryReport)> {
-        assert!(
-            cfg.transport != TransportMode::Direct,
-            "durable deployments need a message transport (codec/socket): \
-             the direct accessors bypass dispatch and would skip the journal"
-        );
         let (srv, report) = ServerState::recover(&cfg, &topo, placement, data_dir)?;
         Ok((Self::attach(cfg, topo, fabric, Arc::new(srv)), report))
     }
@@ -207,29 +192,21 @@ impl BlobStore {
         })
     }
 
-    /// The in-process server state when the transport dispatches typed
-    /// values directly — the zero-copy fast path every accessor below
-    /// takes first.
-    #[inline]
-    fn direct(&self) -> Option<&ServerState> {
-        if self.transport.is_direct() {
-            self.srv.as_deref()
-        } else {
-            None
-        }
-    }
-
-    /// The in-process server state regardless of transport (codec and
-    /// in-process socket modes still host it here). `None` only for
-    /// [`BlobStore::remote`] handles.
+    /// The in-process server state regardless of transport. `None` only
+    /// for [`BlobStore::remote`] handles.
     fn local(&self) -> &ServerState {
         self.srv
             .as_deref()
             .expect("server state lives in another process (remote BlobStore handle)")
     }
 
-    /// One encoded round trip over the transport.
+    /// One request to the server roles, always served by
+    /// [`ServerState::dispatch`]: the direct transport hands it the typed
+    /// value, every other transport carries the encoded frame.
     fn call(&self, req: Req) -> BlobResult<Resp> {
+        if self.transport.is_direct() {
+            return Ok(self.local().dispatch(req));
+        }
         let frame = bff_wire::encode(&req);
         let reply = self.transport.call(req.route(), &frame)?;
         Ok(bff_wire::decode::<Resp>(&reply)?)
@@ -258,9 +235,6 @@ impl BlobStore {
     // -----------------------------------------------------------------
 
     pub(crate) fn vm_create_blob(&self, size: u64, chunk_size: u64) -> BlobResult<BlobId> {
-        if let Some(srv) = self.direct() {
-            return srv.vmanager.lock().create_blob(size, chunk_size);
-        }
         match self.call(Req::Vm(VmReq::CreateBlob { size, chunk_size }))? {
             Resp::Vm(VmResp::Created(r)) => r,
             _ => Err(unexpected_resp()),
@@ -268,9 +242,6 @@ impl BlobStore {
     }
 
     pub(crate) fn vm_clone_blob(&self, src: BlobId, version: Version) -> BlobResult<BlobId> {
-        if let Some(srv) = self.direct() {
-            return srv.vmanager.lock().clone_blob(src, version);
-        }
         match self.call(Req::Vm(VmReq::CloneBlob { src, version }))? {
             Resp::Vm(VmResp::Cloned(r)) => r,
             _ => Err(unexpected_resp()),
@@ -278,9 +249,6 @@ impl BlobStore {
     }
 
     pub(crate) fn vm_latest(&self, blob: BlobId) -> BlobResult<Version> {
-        if let Some(srv) = self.direct() {
-            return Ok(srv.vmanager.lock().meta(blob)?.latest());
-        }
         match self.call(Req::Vm(VmReq::Latest(blob)))? {
             Resp::Vm(VmResp::Latest(r)) => r,
             _ => Err(unexpected_resp()),
@@ -288,9 +256,6 @@ impl BlobStore {
     }
 
     pub(crate) fn vm_size(&self, blob: BlobId) -> BlobResult<u64> {
-        if let Some(srv) = self.direct() {
-            return Ok(srv.vmanager.lock().meta(blob)?.size);
-        }
         match self.call(Req::Vm(VmReq::Size(blob)))? {
             Resp::Vm(VmResp::Size(r)) => r,
             _ => Err(unexpected_resp()),
@@ -298,9 +263,6 @@ impl BlobStore {
     }
 
     pub(crate) fn vm_live_snapshots(&self, blob: BlobId) -> BlobResult<Vec<Version>> {
-        if let Some(srv) = self.direct() {
-            return srv.vmanager.lock().live_snapshots(blob);
-        }
         match self.call(Req::Vm(VmReq::LiveSnapshots(blob)))? {
             Resp::Vm(VmResp::LiveSnapshots(r)) => r,
             _ => Err(unexpected_resp()),
@@ -312,19 +274,6 @@ impl BlobStore {
         blob: BlobId,
         version: Version,
     ) -> BlobResult<VersionInfo> {
-        if let Some(srv) = self.direct() {
-            let vm = srv.vmanager.lock();
-            let meta = vm.meta(blob)?;
-            let root = meta
-                .root(version)
-                .ok_or(crate::api::BlobError::NoSuchVersion(blob, version))?;
-            return Ok(VersionInfo {
-                root,
-                size: meta.size,
-                chunk_size: meta.chunk_size,
-                span: meta.span,
-            });
-        }
         match self.call(Req::Vm(VmReq::VersionMeta(blob, version)))? {
             Resp::Vm(VmResp::VersionMeta(r)) => r,
             _ => Err(unexpected_resp()),
@@ -337,9 +286,6 @@ impl BlobStore {
         base: Version,
         root: NodeKey,
     ) -> BlobResult<Version> {
-        if let Some(srv) = self.direct() {
-            return srv.vmanager.lock().publish(blob, base, root);
-        }
         match self.call(Req::Vm(VmReq::Publish { blob, base, root }))? {
             Resp::Vm(VmResp::Published(r)) => r,
             _ => Err(unexpected_resp()),
@@ -351,17 +297,6 @@ impl BlobStore {
         blob: BlobId,
         versions: &[Version],
     ) -> BlobResult<DeleteOutcome> {
-        if let Some(srv) = self.direct() {
-            // Compound under ONE lock: the delete and the live-root
-            // frontier snapshot are one atomic critical section.
-            let mut vm = srv.vmanager.lock();
-            let dead_roots = vm.delete_snapshots(blob, versions)?;
-            let live_roots = vm.family_live_roots(blob)?;
-            return Ok(DeleteOutcome {
-                dead_roots,
-                live_roots,
-            });
-        }
         match self.call(Req::Vm(VmReq::DeleteSnapshots {
             blob,
             versions: versions.to_vec(),
@@ -372,9 +307,6 @@ impl BlobStore {
     }
 
     pub(crate) fn vm_reserve_keys(&self, n: u64) -> BlobResult<Range<u64>> {
-        if let Some(srv) = self.direct() {
-            return Ok(srv.vmanager.lock().reserve_keys(n));
-        }
         match self.call(Req::Vm(VmReq::ReserveKeys(n)))? {
             Resp::Vm(VmResp::Reserved(r)) => Ok(r),
             _ => Err(unexpected_resp()),
@@ -392,12 +324,6 @@ impl BlobStore {
         replication: usize,
         down: Vec<bool>,
     ) -> BlobResult<Vec<ChunkDesc>> {
-        if let Some(srv) = self.direct() {
-            return srv
-                .pmanager
-                .lock()
-                .allocate_avoiding(n, chunk_bytes, replication, &down);
-        }
         match self.call(Req::Pm(PmReq::Allocate {
             n,
             chunk_bytes,
@@ -416,9 +342,6 @@ impl BlobStore {
     // -----------------------------------------------------------------
 
     pub(crate) fn meta_read_nodes(&self, keys: Vec<NodeKey>) -> BlobResult<Vec<TreeNode>> {
-        if let Some(srv) = self.direct() {
-            return srv.read_nodes(&keys);
-        }
         match self.call(Req::Meta(MetaReq::ReadNodes(keys)))? {
             Resp::Meta(MetaResp::Nodes(r)) => r,
             _ => Err(unexpected_resp()),
@@ -426,10 +349,6 @@ impl BlobStore {
     }
 
     pub(crate) fn meta_write_nodes(&self, nodes: Vec<(NodeKey, TreeNode)>) -> BlobResult<()> {
-        if let Some(srv) = self.direct() {
-            srv.write_nodes(nodes);
-            return Ok(());
-        }
         match self.call(Req::Meta(MetaReq::WriteNodes(nodes)))? {
             Resp::Meta(MetaResp::Written) => Ok(()),
             _ => Err(unexpected_resp()),
@@ -446,9 +365,6 @@ impl BlobStore {
         prov: NodeId,
         items: Vec<(ChunkId, Payload)>,
     ) -> BlobResult<bool> {
-        if let Some(srv) = self.direct() {
-            return Ok(srv.providers.put_batch(prov, items));
-        }
         match self.call(Req::Provider {
             node: prov,
             req: ProviderReq::Put(items),
@@ -463,12 +379,6 @@ impl BlobStore {
         prov: NodeId,
         ids: Vec<ChunkId>,
     ) -> BlobResult<Vec<Option<(Payload, bool)>>> {
-        if let Some(srv) = self.direct() {
-            return Ok(match srv.providers.lock(prov) {
-                Some(mut p) => ids.into_iter().map(|id| p.get(id)).collect(),
-                None => vec![None; ids.len()],
-            });
-        }
         match self.call(Req::Provider {
             node: prov,
             req: ProviderReq::Fetch(ids),
@@ -482,9 +392,6 @@ impl BlobStore {
     /// failure reads as "absent", which the dedup validation path treats
     /// as a stale hit — conservative and safe.
     pub(crate) fn provider_peek(&self, prov: NodeId, id: ChunkId) -> Option<Payload> {
-        if let Some(srv) = self.direct() {
-            return srv.providers.lock(prov).and_then(|p| p.peek(id));
-        }
         match self.call(Req::Provider {
             node: prov,
             req: ProviderReq::Peek(id),
@@ -498,9 +405,6 @@ impl BlobStore {
     /// retained" — the commit then pushes fresh bytes instead of
     /// committing by reference, which is always safe.
     pub(crate) fn provider_retain(&self, prov: NodeId, id: ChunkId) -> bool {
-        if let Some(srv) = self.direct() {
-            return srv.providers.retain(prov, id);
-        }
         matches!(
             self.call(Req::Provider {
                 node: prov,
@@ -513,9 +417,6 @@ impl BlobStore {
     /// Drop one reference (rollback path). A transport failure is a
     /// bounded leak — identical to skipping a down provider.
     pub(crate) fn provider_release(&self, prov: NodeId, id: ChunkId) -> bool {
-        if let Some(srv) = self.direct() {
-            return srv.providers.release(prov, id);
-        }
         matches!(
             self.call(Req::Provider {
                 node: prov,
@@ -534,9 +435,6 @@ impl BlobStore {
         id: ChunkId,
         n: u64,
     ) -> (u64, bool, bool) {
-        if let Some(srv) = self.direct() {
-            return srv.providers.release_counted(prov, id, n);
-        }
         match self.call(Req::Provider {
             node: prov,
             req: ProviderReq::ReleaseCounted(id, n),
@@ -557,9 +455,6 @@ impl BlobStore {
         batch: &[u64],
         min_publishers: usize,
     ) -> Vec<u64> {
-        if let Some(srv) = self.direct() {
-            return srv.pattern_board.novel_of(key, batch, min_publishers);
-        }
         match self.call(Req::Board(BoardReq::NovelOf {
             key,
             batch: batch.to_vec(),
@@ -576,9 +471,6 @@ impl BlobStore {
         publisher: NodeId,
         batch: &[u64],
     ) -> usize {
-        if let Some(srv) = self.direct() {
-            return srv.pattern_board.merge(key, publisher, batch);
-        }
         match self.call(Req::Board(BoardReq::Merge {
             key,
             publisher,
@@ -590,31 +482,24 @@ impl BlobStore {
     }
 
     pub(crate) fn board_sequence_len(&self, key: (BlobId, Version)) -> usize {
-        if let Some(srv) = self.direct() {
-            return srv.pattern_board.sequence_len(key);
-        }
         match self.call(Req::Board(BoardReq::SequenceLen(key))) {
             Ok(Resp::Board(BoardResp::SequenceLen(n))) => n,
             _ => 0,
         }
     }
 
+    /// The merged sequence, shared by refcount with the board when the
+    /// transport is direct.
     pub(crate) fn board_sequence(
         &self,
         key: (BlobId, Version),
         min_publishers: usize,
     ) -> Option<ConfidentSequence> {
-        if let Some(srv) = self.direct() {
-            // Zero-copy: the merged sequence stays shared by refcount.
-            return srv
-                .pattern_board
-                .sequence_with_confidence(key, min_publishers);
-        }
         match self.call(Req::Board(BoardReq::Sequence {
             key,
             min_publishers,
         })) {
-            Ok(Resp::Board(BoardResp::Sequence(Some((seq, conf))))) => Some((Arc::new(seq), conf)),
+            Ok(Resp::Board(BoardResp::Sequence(r))) => r,
             _ => None,
         }
     }
@@ -628,15 +513,6 @@ impl BlobStore {
         versions: &[(BlobId, Version)],
         freed: &FastSet<ChunkId>,
     ) -> usize {
-        if let Some(srv) = self.direct() {
-            for &key in versions {
-                srv.pattern_board.drop_pattern(key);
-            }
-            if freed.is_empty() {
-                return 0;
-            }
-            return srv.cluster_write().evict_chunks(freed);
-        }
         let mut freed: Vec<ChunkId> = freed.iter().copied().collect();
         freed.sort_unstable(); // deterministic frame bytes
         match self.call(Req::Board(BoardReq::Purge {
@@ -656,10 +532,6 @@ impl BlobStore {
     /// Batch probe: one shared-lock acquisition for all keys. Transport
     /// failure → all misses.
     pub(crate) fn cluster_get(&self, keys: &[ContentKey]) -> Vec<Option<ChunkDesc>> {
-        if let Some(srv) = self.direct() {
-            let index = srv.cluster_read();
-            return keys.iter().map(|k| index.get(k)).collect();
-        }
         match self.call(Req::Cluster(ClusterReq::Get(keys.to_vec()))) {
             Ok(Resp::Cluster(ClusterResp::Got(r))) if r.len() == keys.len() => r,
             _ => vec![None; keys.len()],
@@ -668,9 +540,6 @@ impl BlobStore {
 
     /// Coarse-ablation probe: one *exclusive* acquisition for one key.
     pub(crate) fn cluster_get_exclusive(&self, key: &ContentKey) -> Option<ChunkDesc> {
-        if let Some(srv) = self.direct() {
-            return srv.cluster_write().get(key);
-        }
         match self.call(Req::Cluster(ClusterReq::GetExclusive(*key))) {
             Ok(Resp::Cluster(ClusterResp::GotOne(r))) => r,
             _ => None,
@@ -680,9 +549,6 @@ impl BlobStore {
     /// Which keys the index does not yet hold. Transport failure → no
     /// keys are novel (the publish is skipped, content stays node-local).
     pub(crate) fn cluster_novel_of(&self, keys: &[ContentKey]) -> Vec<ContentKey> {
-        if let Some(srv) = self.direct() {
-            return srv.cluster_read().novel_of(keys.iter());
-        }
         match self.call(Req::Cluster(ClusterReq::NovelOf(keys.to_vec()))) {
             Ok(Resp::Cluster(ClusterResp::Novel(r))) => r,
             _ => Vec::new(),
@@ -691,22 +557,11 @@ impl BlobStore {
 
     /// Record novel entries: one exclusive acquisition for the batch.
     pub(crate) fn cluster_record(&self, entries: Vec<(ContentKey, ChunkDesc)>) {
-        if let Some(srv) = self.direct() {
-            let mut index = srv.cluster_write();
-            for (key, desc) in entries {
-                index.record(key, desc);
-            }
-            return;
-        }
         let _ = self.call(Req::Cluster(ClusterReq::Record(entries)));
     }
 
     /// Drop a stale entry wherever it lives.
     pub(crate) fn cluster_forget(&self, key: &ContentKey) {
-        if let Some(srv) = self.direct() {
-            srv.cluster_write().forget(key);
-            return;
-        }
         let _ = self.call(Req::Cluster(ClusterReq::Forget(*key)));
     }
 
@@ -869,6 +724,46 @@ mod tests {
             providers: vec![],
         };
         BlobStore::new(BlobConfig::default(), topo, fabric);
+    }
+
+    #[test]
+    fn direct_durable_store_journals_and_recovers() {
+        let dir = std::env::temp_dir().join(format!("bff-service-{}-direct", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let fabric = LocalFabric::new(3);
+        let nodes: Vec<NodeId> = (0..2).map(NodeId).collect();
+        let topo = BlobTopology::colocated(&nodes, NodeId(2));
+        let cfg = BlobConfig {
+            transport: TransportMode::Direct,
+            ..Default::default()
+        };
+        let open = || {
+            let fabric: Arc<dyn Fabric> = fabric.clone();
+            BlobStore::durable(cfg, topo.clone(), fabric, Placement::RoundRobin, &dir)
+                .unwrap()
+                .0
+        };
+
+        let store = open();
+        let client = crate::Client::new(Arc::clone(&store), NodeId(0));
+        let image = Payload::synth(7, 0, 64 << 10);
+        let (blob, base) = client.upload(image.clone()).unwrap();
+        let patch = Payload::synth(8, 0, 4096);
+        let snap = client.write(blob, base, 8192, patch.clone()).unwrap();
+        let want = image.overwrite(8192, patch).materialize();
+        let got = client.read(blob, snap, 0..64 << 10).unwrap().materialize();
+        assert!(got == want, "snapshot bytes differ before restart");
+        drop(client);
+        // Kill: no destructor runs, nothing is flushed on the way out.
+        std::mem::forget(store);
+
+        let store = open();
+        let client = crate::Client::new(Arc::clone(&store), NodeId(1));
+        assert_eq!(client.latest_version(blob).unwrap(), snap);
+        let got = client.read(blob, snap, 0..64 << 10).unwrap().materialize();
+        assert!(got == want, "snapshot bytes differ after restart");
+        drop((client, store));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

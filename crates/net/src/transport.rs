@@ -7,10 +7,10 @@
 //! actually carries the message is orthogonal to the modelled economics.
 //! That mechanism is this module's [`Transport`]:
 //!
-//! * [`DirectTransport`] — the in-process baseline: typed requests are
-//!   dispatched as plain values (zero copies, no serialization). This is
-//!   the behaviour every simulation result was produced under, kept as
-//!   the equivalence anchor.
+//! * [`DirectTransport`] — the in-process baseline: the caller hands the
+//!   typed request to the server's dispatcher as a plain value (no
+//!   encoding, no frame). This is the equivalence anchor the other two
+//!   are measured against.
 //! * [`CodecTransport`] — in-process, but every message round-trips
 //!   through the full binary codec (encode → decode → handle → encode →
 //!   decode). Anything that cannot cross a process boundary — a stowaway
@@ -212,9 +212,9 @@ type ConnRegistry = Arc<Mutex<Vec<(TcpStream, std::thread::JoinHandle<()>)>>>;
 /// How request messages reach the server roles. See the module docs for
 /// the three implementations.
 pub trait Transport: Send + Sync {
-    /// Whether this transport dispatches typed values without encoding
-    /// (the caller must then hold the server state locally and skip
-    /// [`Transport::call`] entirely).
+    /// Whether this transport carries typed values without encoding:
+    /// the caller must then hold the server state locally and hand each
+    /// request to its dispatcher instead of [`Transport::call`].
     fn is_direct(&self) -> bool {
         false
     }
@@ -229,8 +229,9 @@ pub trait Transport: Send + Sync {
     }
 }
 
-/// The zero-copy in-process baseline: requests are dispatched as typed
-/// values by the caller; no frame ever exists.
+/// The in-process baseline: the caller passes each typed request
+/// straight to the server's dispatcher, with no encoding; no frame ever
+/// exists.
 #[derive(Debug, Default)]
 pub struct DirectTransport;
 
@@ -332,9 +333,9 @@ struct PooledConn {
 /// request/response exchange per [`Transport::call`].
 ///
 /// Every connection — pool miss, post-[`SocketTransport::set_routes`]
-/// reconnect, and the dead-connection retry — goes through
-/// [`SocketTransport::connect`], which sets `TCP_NODELAY`; no path
-/// hands out a Nagle-enabled stream.
+/// reconnect, and the dead-connection retry — goes through one private
+/// `connect` helper, which sets `TCP_NODELAY`; no path hands out a
+/// Nagle-enabled stream.
 pub struct SocketTransport {
     routes: RwLock<RouteTable>,
     pool: Mutex<HashMap<SocketAddr, Vec<PooledConn>>>,

@@ -21,6 +21,7 @@
 
 pub use bff_net::transport::WireError;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Cursor over a received frame.
 pub struct Reader<'a> {
@@ -182,6 +183,17 @@ impl<T: Wire> Wire for Vec<T> {
             v.push(T::dec(r)?);
         }
         Ok(v)
+    }
+}
+
+/// Shared values encode as their contents, so wrapping a field in an
+/// `Arc` leaves its frame bytes unchanged.
+impl<T: Wire> Wire for Arc<T> {
+    fn enc(&self, out: &mut Vec<u8>) {
+        (**self).enc(out);
+    }
+    fn dec(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        T::dec(r).map(Arc::new)
     }
 }
 

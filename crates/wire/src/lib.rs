@@ -11,7 +11,7 @@
 //! message boundary for the reproduction: the client protocol in
 //! `bff-blobseer` speaks [`msg::Req`]/[`msg::Resp`], and a
 //! `bff_net::Transport` decides whether those values are dispatched
-//! in-process (zero-copy), round-tripped through the codec, or carried
+//! in-process without encoding, round-tripped through the codec, or carried
 //! over framed TCP to server processes.
 //!
 //! ## Wire format sketch

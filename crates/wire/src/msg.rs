@@ -11,6 +11,7 @@ use crate::types::{BlobError, BlobId, BlobResult, ChunkDesc, ChunkId, NodeKey, T
 use bff_data::{ContentKey, Payload};
 use bff_net::{NodeId, RouteKey};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Per-blob bookkeeping snapshot served by the version manager.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,7 +28,7 @@ pub struct VersionInfo {
 
 /// Everything the compound snapshot-deletion call returns: kept in one
 /// message so the version-manager state transition stays atomic under
-/// one lock, exactly as in the direct path.
+/// one lock.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeleteOutcome {
     /// Roots of the deleted versions (reachability-diff sources).
@@ -150,7 +151,7 @@ pub enum MetaResp {
 
 /// Chunk-provider requests. Addressed to one provider node (carried in
 /// [`Req::Provider`]); batches hold the provider lock once, single-item
-/// messages once per message — mirroring the direct path.
+/// messages once per message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ProviderReq {
     /// Store chunk replicas (one provider lock for the whole batch).
@@ -228,6 +229,11 @@ pub enum BoardReq {
     },
 }
 
+/// A merged access sequence with its per-chunk cohort-confirmation mask
+/// (`None` = the confidence filter is inactive). The sequence is shared
+/// by refcount, so an in-process reply never copies it.
+pub type ConfidentSequence = (Arc<Vec<u64>>, Option<Vec<bool>>);
+
 /// Pattern-board responses.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BoardResp {
@@ -238,7 +244,7 @@ pub enum BoardResp {
     /// Sequence length.
     SequenceLen(usize),
     /// Merged sequence + optional per-chunk confidence flags.
-    Sequence(Option<(Vec<u64>, Option<Vec<bool>>)>),
+    Sequence(Option<ConfidentSequence>),
     /// Cluster-index entries evicted by the purge.
     Purged(usize),
 }

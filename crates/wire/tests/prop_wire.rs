@@ -22,6 +22,7 @@ use bff_wire::types::{
 use bff_wire::WireError;
 use proptest::prelude::*;
 use proptest::strategy::TestRng;
+use std::sync::Arc;
 
 /// Adapter: any `fn(&mut TestRng) -> T` is a strategy.
 struct Gen<T>(fn(&mut TestRng) -> T);
@@ -327,7 +328,7 @@ fn arb_board_resp(rng: &mut TestRng) -> BoardResp {
                 let n = seq.len();
                 Some((0..n).map(|_| rng.below(2) == 0).collect())
             };
-            Some((seq, conf))
+            Some((Arc::new(seq), conf))
         }),
         _ => BoardResp::Purged(arb_usize(rng)),
     }
@@ -428,6 +429,15 @@ proptest! {
         let back = decode::<Payload>(&encode(&payload)).unwrap();
         prop_assert!(back.content_eq(&payload));
         prop_assert_eq!(back.len(), payload.len());
+    }
+
+    /// A shared (`Arc`) sequence encodes exactly like the plain vector
+    /// it wraps and decodes back to equal contents.
+    #[test]
+    fn shared_sequence_encodes_as_plain_vec(seq in Gen(|r| arb_vec(r, 16, arb_u64))) {
+        let shared = Arc::new(seq.clone());
+        prop_assert_eq!(encode(&shared), encode(&seq));
+        roundtrip(&shared);
     }
 
     /// Any strict prefix of a valid frame decodes to a `WireError`
@@ -610,7 +620,7 @@ fn every_variant_roundtrips_once() {
         Resp::Board(BoardResp::Merged(2)),
         Resp::Board(BoardResp::SequenceLen(3)),
         Resp::Board(BoardResp::Sequence(Some((
-            vec![1, 2],
+            Arc::new(vec![1, 2]),
             Some(vec![true, false]),
         )))),
         Resp::Board(BoardResp::Purged(4)),
@@ -623,4 +633,18 @@ fn every_variant_roundtrips_once() {
     for resp in &resps {
         roundtrip(resp);
     }
+}
+
+/// The board sequence reply's frame bytes, pinned: sharing the sequence
+/// by `Arc` must not change what crosses the wire.
+#[test]
+fn board_sequence_frame_bytes_are_stable() {
+    let resp = Resp::Board(BoardResp::Sequence(Some((
+        Arc::new(vec![1, 300]),
+        Some(vec![true, false]),
+    ))));
+    // Board, Sequence, Some, len 2, 1, 300 (LEB128), Some, len 2, flags.
+    let golden = [4, 3, 1, 2, 1, 0xAC, 0x02, 1, 2, 1, 0];
+    assert_eq!(encode(&resp), golden);
+    roundtrip(&resp);
 }
