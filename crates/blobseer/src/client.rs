@@ -213,10 +213,11 @@ impl Client {
         self.store.vm_latest(blob)
     }
 
-    /// Blob logical size.
-    pub fn blob_size(&self, blob: BlobId) -> BlobResult<u64> {
-        self.control_rpc(self.store.topology().vmanager)?;
-        self.store.vm_size(blob)
+    /// Logical size of `(blob, version)`, read from the version's
+    /// cached metadata: an image's opens and its first read share one
+    /// version-manager round.
+    pub fn version_size(&self, blob: BlobId, version: Version) -> BlobResult<u64> {
+        Ok(self.version_meta(blob, version)?.size)
     }
 
     /// The still-live (published, undeleted) snapshot versions of a

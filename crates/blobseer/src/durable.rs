@@ -428,6 +428,9 @@ struct Segment {
     total: u64,
     /// Framed bytes of `Put` records still in the index.
     live: u64,
+    /// A compaction scan met a torn or corrupt record: the file stays
+    /// as it is and is not compacted again.
+    damaged: bool,
 }
 
 /// What a [`SegmentStore::open`] recovered.
@@ -504,6 +507,7 @@ impl SegmentStore {
                 log,
                 total,
                 live: 0,
+                damaged: false,
             };
             for (off, payload) in records {
                 match bff_wire::decode::<ChunkRecord>(&payload) {
@@ -557,6 +561,7 @@ impl SegmentStore {
                     log,
                     total: 0,
                     live: 0,
+                    damaged: false,
                 },
             );
         }
@@ -665,6 +670,7 @@ impl SegmentStore {
                 log,
                 total: 0,
                 live: 0,
+                damaged: false,
             },
         );
         self.active = next;
@@ -783,58 +789,31 @@ impl SegmentStore {
         let Some(seg) = self.segments.get(&seg_no) else {
             return Ok(());
         };
-        if seg.total == 0 || (seg.live as f64 / seg.total as f64) >= COMPACT_LIVE_FRAC {
+        if seg.damaged
+            || seg.total == 0
+            || (seg.live as f64 / seg.total as f64) >= COMPACT_LIVE_FRAC
+        {
             return Ok(());
         }
         self.compact(seg_no)
     }
 
     /// Rewrite sealed segment `seg_no`: carry live puts and still-needed
-    /// tombstones into the active segment, then delete the file.
+    /// tombstones into the active segment, then delete the file. The
+    /// file is streamed a record at a time (the in-memory state only
+    /// holds per-chunk locations, not the record sequence) and deleted
+    /// only after a clean scan to its end. A torn or corrupt record ends
+    /// the scan and the file stays untouched: the chunks behind it keep
+    /// their place, and the segment is marked so later frees do not
+    /// rescan it.
     fn compact(&mut self, seg_no: u64) -> io::Result<()> {
         let path = seg_path(&self.dir, seg_no);
-        // Re-scan the file: the in-memory state only holds per-chunk
-        // locations, not the record sequence.
-        let (records, _, _) = RecordLog::open(&path)?;
-        for (off, payload) in records {
-            match bff_wire::decode::<ChunkRecord>(&payload) {
-                Ok(ChunkRecord::Put { id, .. }) => {
-                    let live_here = self
-                        .index
-                        .get(&id)
-                        .is_some_and(|l| l.seg == seg_no && l.off == off);
-                    if !live_here {
-                        continue;
-                    }
-                    let seg = self.active;
-                    let s = self.active_seg();
-                    let new_off = s.log.append(&payload)?;
-                    let framed = RecordLog::framed_len(payload.len());
-                    s.total += framed;
-                    s.live += framed;
-                    if let Some(loc) = self.index.get_mut(&id) {
-                        loc.seg = seg;
-                        loc.off = new_off;
-                    }
-                    // Compaction moves committed data, so the copy must
-                    // be durable before the source is deleted.
-                    if self.active_seg().log.len() >= self.segment_bytes {
-                        self.rotate_if_full()?;
-                    }
-                }
-                Ok(ChunkRecord::Free { id }) => {
-                    // A tombstone for a chunk still absent from the
-                    // index may be shadowing a Put in an *older*
-                    // segment; carry it forward.
-                    if self.index.contains_key(&id) {
-                        continue;
-                    }
-                    let s = self.active_seg();
-                    s.log.append(&payload)?;
-                    s.total += RecordLog::framed_len(payload.len());
-                }
-                Err(_) => {}
+        let end = RecordLog::scan(&path, |off, payload| self.carry(seg_no, off, payload))?;
+        if !end.clean {
+            if let Some(seg) = self.segments.get_mut(&seg_no) {
+                seg.damaged = true;
             }
+            return Ok(());
         }
         // Forced for the same reason as rotation's seal: the moved
         // copies must be durable before the source file disappears,
@@ -843,6 +822,48 @@ impl SegmentStore {
         self.segments.remove(&seg_no);
         std::fs::remove_file(&path)?;
         Ok(())
+    }
+
+    /// Copy one record of compacting segment `seg_no` into the active
+    /// segment if it is still needed.
+    fn carry(&mut self, seg_no: u64, off: u64, payload: &[u8]) -> io::Result<()> {
+        match bff_wire::decode::<ChunkRecord>(payload) {
+            Ok(ChunkRecord::Put { id, .. }) => {
+                let live_here = self
+                    .index
+                    .get(&id)
+                    .is_some_and(|l| l.seg == seg_no && l.off == off);
+                if !live_here {
+                    return Ok(());
+                }
+                let seg = self.active;
+                let s = self.active_seg();
+                let new_off = s.log.append(payload)?;
+                let framed = RecordLog::framed_len(payload.len());
+                s.total += framed;
+                s.live += framed;
+                if let Some(loc) = self.index.get_mut(&id) {
+                    loc.seg = seg;
+                    loc.off = new_off;
+                }
+                if let Some(old) = self.segments.get_mut(&seg_no) {
+                    old.live -= framed.min(old.live);
+                }
+                self.rotate_if_full()
+            }
+            Ok(ChunkRecord::Free { id }) => {
+                // A tombstone for a chunk still absent from the index
+                // may be shadowing a Put in an *older* segment; carry it
+                // forward.
+                if !self.index.contains_key(&id) {
+                    let s = self.active_seg();
+                    s.log.append(payload)?;
+                    s.total += RecordLog::framed_len(payload.len());
+                }
+                Ok(())
+            }
+            Err(_) => Ok(()),
+        }
     }
 
     /// Fsync the active segment and the refcount log — the commit-ack
@@ -1126,6 +1147,60 @@ mod tests {
             assert!(s.read(ChunkId(i + 1)).unwrap().content_eq(&blob(i)));
         }
         assert_log_headers(&dir);
+    }
+
+    #[test]
+    fn compaction_never_destroys_what_it_cannot_read() {
+        let dir = scratch("compact-corrupt");
+        let (mut s, _, _) = SegmentStore::open(&dir, 4 * 1024).unwrap();
+        let blob = |i: u64| {
+            Payload::from_bytes((0..512).map(|b| (b as u8) ^ i as u8).collect::<Vec<u8>>())
+        };
+        for i in 0..32u64 {
+            s.put(ChunkId(i), &blob(i)).unwrap();
+        }
+        // Sealed segment 0's chunks in file order.
+        let mut seg0: Vec<(u64, ChunkId)> = s
+            .index
+            .iter()
+            .filter(|(_, l)| l.seg == 0)
+            .map(|(&id, l)| (l.off, id))
+            .collect();
+        seg0.sort_unstable();
+        assert!(seg0.len() >= 6, "segment 0 holds {} chunks", seg0.len());
+        // Flip one payload byte of the second record.
+        let path = seg_path(&dir, 0);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let (bad_off, bad) = seg0[1];
+        bytes[bad_off as usize + RecordLog::framed_len(100) as usize] ^= 0x40;
+        std::fs::write(&path, &bytes).unwrap();
+
+        // Keep the first, the corrupt and the last record's chunks;
+        // freeing the rest drops the segment under the live threshold.
+        let keep = [seg0[0].1, bad, seg0[seg0.len() - 1].1];
+        for &(_, id) in &seg0 {
+            if !keep.contains(&id) {
+                s.free(id).unwrap();
+            }
+        }
+        assert!(s.segments[&0].damaged, "compaction ran and met the flip");
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "file untouched");
+        assert!(s.read(bad).is_none(), "corrupt bytes are never served");
+        let freed: Vec<ChunkId> = seg0
+            .iter()
+            .map(|&(_, id)| id)
+            .filter(|id| !keep.contains(id))
+            .collect();
+        for i in 0..32u64 {
+            let id = ChunkId(i);
+            if id == bad || freed.contains(&id) {
+                continue;
+            }
+            assert!(
+                s.read(id).unwrap().content_eq(&blob(i)),
+                "chunk {i} survives compaction"
+            );
+        }
     }
 
     #[test]

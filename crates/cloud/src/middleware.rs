@@ -12,7 +12,6 @@ use crate::params::Calibration;
 use bff_blobseer::{BlobConfig, BlobId, BlobStore, BlobTopology, Client as BlobClient, Version};
 use bff_data::Payload;
 use bff_net::{Fabric, NodeId};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A deployed VM instance under middleware control.
@@ -164,7 +163,7 @@ impl Cloud {
     /// standalone raw image.
     pub fn download_image(&self, blob: BlobId, version: Version) -> Result<Payload, BackendError> {
         let client = self.client(self.service);
-        let size = client.blob_size(blob)?;
+        let size = client.version_size(blob, version)?;
         Ok(client.read(blob, version, 0..size)?)
     }
 
@@ -266,24 +265,16 @@ impl Cloud {
 
     /// Storage accounting: bytes in the repository, and what the same
     /// snapshots would cost as full standalone images (the §3.1.4
-    /// duplication argument).
+    /// duplication argument). A deleted snapshot has no image to copy
+    /// and counts zero.
     pub fn storage_report(&self, snapshots: &[(BlobId, Version)]) -> StorageReport {
-        let stored = self.store.total_stored_bytes();
-        let mut sizes: HashMap<BlobId, u64> = HashMap::new();
         let client = self.client(self.service);
-        for (blob, _) in snapshots {
-            if let Ok(size) = client.blob_size(*blob) {
-                sizes.insert(*blob, size);
-            }
-        }
-        let naive: u64 = snapshots
-            .iter()
-            .filter_map(|(b, _)| sizes.get(b))
-            .copied()
-            .sum();
         StorageReport {
-            stored_bytes: stored,
-            naive_full_copy_bytes: naive,
+            stored_bytes: self.store.total_stored_bytes(),
+            naive_full_copy_bytes: snapshots
+                .iter()
+                .filter_map(|&(blob, version)| client.version_size(blob, version).ok())
+                .sum(),
         }
     }
 }
@@ -498,6 +489,60 @@ mod tests {
         let report = cloud.terminate_instance(fresh).unwrap();
         assert_eq!(report, bff_blobseer::GcReport::default());
         assert_eq!(cloud.store().total_stored_bytes(), stored);
+    }
+
+    /// Counts the frames addressed to the version manager.
+    struct VmCallCounter {
+        inner: bff_net::CodecTransport,
+        vm_calls: std::sync::atomic::AtomicU64,
+    }
+
+    impl bff_net::Transport for VmCallCounter {
+        fn call(
+            &self,
+            route: bff_net::RouteKey,
+            frame: &[u8],
+        ) -> Result<Vec<u8>, bff_net::WireError> {
+            if route == bff_net::RouteKey::Vm {
+                self.vm_calls
+                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            }
+            self.inner.call(route, frame)
+        }
+    }
+
+    #[test]
+    fn cold_deploy_asks_the_version_manager_once() {
+        let fabric = LocalFabric::new(9);
+        let compute: Vec<NodeId> = (0..8).map(NodeId).collect();
+        let topo = BlobTopology::colocated(&compute, NodeId(8));
+        let cfg = BlobConfig {
+            chunk_size: 64 << 10,
+            ..Default::default()
+        };
+        let srv = Arc::new(bff_blobseer::ServerState::new(
+            &cfg,
+            &topo,
+            bff_blobseer::Placement::RoundRobin,
+        ));
+        let counter = Arc::new(VmCallCounter {
+            inner: bff_net::CodecTransport::new(Arc::new(move |route, frame| {
+                srv.handle_frame(route, frame)
+            })),
+            vm_calls: Default::default(),
+        });
+        let vm_calls = || counter.vm_calls.load(std::sync::atomic::Ordering::Relaxed);
+        let store = BlobStore::remote(cfg, topo, fabric.clone(), counter.clone());
+        let cloud = Cloud::with_store(store, fabric, compute, NodeId(8), Calibration::default());
+        let image = Payload::synth(6, 0, IMG);
+        let (blob, v) = cloud.upload_image(image.clone()).unwrap();
+
+        let before = vm_calls();
+        let mut vm = cloud.add_instance(blob, v, NodeId(3)).unwrap();
+        assert_eq!(vm_calls() - before, 1, "a cold deploy is one vm round");
+        let got = vm.backend.read(0..IMG / 2).unwrap();
+        assert!(got.content_eq(&image.slice(0, IMG / 2)));
+        assert_eq!(vm_calls() - before, 1, "the first read reuses it");
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! the last good byte. Truncation matters: appending after an
 //! untruncated torn tail would strand every later record behind
 //! unparseable bytes, silently losing them on the *next* replay.
+//! [`RecordLog::scan`] applies the same checks read-only, holding one
+//! record at a time, for callers that must not modify the file.
 //!
 //! A non-empty file that does not start with the magic — a log of an
 //! older format, or another file altogether — is refused with
@@ -33,7 +35,7 @@
 
 use crate::Digest;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
@@ -62,6 +64,79 @@ fn checksum(payload: &[u8]) -> u64 {
 /// and its payload.
 pub type Recovered = (u64, Vec<u8>);
 
+/// How a scan of a log file ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScanEnd {
+    /// Byte offset just past the last intact record (0 when the file is
+    /// empty or torn inside the magic).
+    pub good_end: u64,
+    /// Whether the scan reached the end of the file on a record
+    /// boundary, with no short, oversized or checksum-corrupt record.
+    pub clean: bool,
+}
+
+/// Read `file` from its start, handing each intact record to `visit`
+/// (one payload buffer, reused), and stop at the first bad one.
+fn scan_file(
+    file: &File,
+    path: &Path,
+    mut visit: impl FnMut(u64, &[u8]) -> io::Result<()>,
+) -> io::Result<ScanEnd> {
+    let file_len = file.metadata()?.len();
+    let mut r = BufReader::with_capacity(1 << 16, file);
+    let mut magic = [0u8; FIRST_RECORD as usize];
+    let head = &mut magic[..file_len.min(FIRST_RECORD) as usize];
+    r.read_exact(head)?;
+    if file_len < FIRST_RECORD && LOG_MAGIC.starts_with(head) {
+        // Empty, or torn while the first append wrote the magic.
+        return Ok(ScanEnd {
+            good_end: 0,
+            clean: file_len == 0,
+        });
+    }
+    if magic != LOG_MAGIC {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "{}: not a record log of format version {}",
+                path.display(),
+                LOG_MAGIC[7]
+            ),
+        ));
+    }
+    let mut pos = FIRST_RECORD;
+    let mut payload = Vec::new();
+    while pos < file_len {
+        let torn = ScanEnd {
+            good_end: pos,
+            clean: false,
+        };
+        if file_len - pos < RECORD_HEADER {
+            return Ok(torn);
+        }
+        let mut header = [0u8; RECORD_HEADER as usize];
+        r.read_exact(&mut header)?;
+        let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
+        let sum = u64::from_le_bytes(header[4..12].try_into().unwrap());
+        // Checked against the file length before allocating, so a
+        // flipped length bit cannot trigger a huge allocation.
+        if len > MAX_RECORD || file_len - pos - RECORD_HEADER < len as u64 {
+            return Ok(torn);
+        }
+        payload.resize(len as usize, 0);
+        r.read_exact(&mut payload)?;
+        if checksum(&payload) != sum {
+            return Ok(torn);
+        }
+        visit(pos, &payload)?;
+        pos += RecordLog::framed_len(payload.len());
+    }
+    Ok(ScanEnd {
+        good_end: pos,
+        clean: true,
+    })
+}
+
 /// An append-only checksummed record file.
 #[derive(Debug)]
 pub struct RecordLog {
@@ -87,51 +162,12 @@ impl RecordLog {
         let mut good_end = 0u64;
         let file = match OpenOptions::new().read(true).write(true).open(path) {
             Ok(mut f) => {
-                let mut buf = Vec::new();
-                f.read_to_end(&mut buf)?;
-                if buf.len() < LOG_MAGIC.len() && LOG_MAGIC.starts_with(&buf) {
-                    // Empty, or torn while the first append wrote the
-                    // magic: reset below (good_end stays 0).
-                    torn = !buf.is_empty();
-                    buf.clear();
-                } else if !buf.starts_with(&LOG_MAGIC) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "{}: not a record log of format version {}",
-                            path.display(),
-                            LOG_MAGIC[7]
-                        ),
-                    ));
-                } else {
-                    good_end = FIRST_RECORD;
-                }
-                let mut pos = good_end as usize;
-                loop {
-                    let rest = &buf[pos..];
-                    if rest.is_empty() {
-                        break;
-                    }
-                    if rest.len() < RECORD_HEADER as usize {
-                        torn = true;
-                        break;
-                    }
-                    let len = u32::from_le_bytes(rest[0..4].try_into().unwrap());
-                    let sum = u64::from_le_bytes(rest[4..12].try_into().unwrap());
-                    let body_end = RECORD_HEADER as usize + len as usize;
-                    if len > MAX_RECORD || rest.len() < body_end {
-                        torn = true;
-                        break;
-                    }
-                    let payload = &rest[RECORD_HEADER as usize..body_end];
-                    if checksum(payload) != sum {
-                        torn = true;
-                        break;
-                    }
-                    records.push((pos as u64, payload.to_vec()));
-                    pos += body_end;
-                    good_end = pos as u64;
-                }
+                let end = scan_file(&f, path, |off, payload| {
+                    records.push((off, payload.to_vec()));
+                    Ok(())
+                })?;
+                torn = !end.clean;
+                good_end = end.good_end;
                 if torn {
                     // Chop the tail so future appends extend a clean
                     // prefix instead of burying themselves behind it.
@@ -151,6 +187,17 @@ impl RecordLog {
             dirty: false,
         };
         Ok((records, log, torn))
+    }
+
+    /// Stream the log at `path` without modifying it: every intact
+    /// record goes to `visit` with its frame offset, one at a time, and
+    /// the scan stops at the first record [`RecordLog::open`] would
+    /// truncate at. An error from `visit` ends the scan and is returned.
+    pub fn scan(
+        path: &Path,
+        visit: impl FnMut(u64, &[u8]) -> io::Result<()>,
+    ) -> io::Result<ScanEnd> {
+        scan_file(&File::open(path)?, path, visit)
     }
 
     /// The log's path on disk.
@@ -364,6 +411,58 @@ mod tests {
         assert!(!torn);
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[1].1, b"after");
+    }
+
+    #[test]
+    fn scan_streams_records_and_stops_read_only_at_a_flip() {
+        let path = scratch("scan");
+        let (_, mut log, _) = RecordLog::open(&path).unwrap();
+        let offs: Vec<u64> = [&b"one"[..], b"two-two", b"three"]
+            .iter()
+            .map(|p| log.append(p).unwrap())
+            .collect();
+        log.sync().unwrap();
+        let len = log.len();
+        drop(log);
+        let scan = |path: &Path| {
+            let mut seen = Vec::new();
+            let end = RecordLog::scan(path, |off, p| {
+                seen.push((off, p.to_vec()));
+                Ok(())
+            })
+            .unwrap();
+            (seen, end)
+        };
+        let (seen, end) = scan(&path);
+        assert_eq!(seen.len(), 3);
+        assert_eq!(seen[1], (offs[1], b"two-two".to_vec()));
+        assert_eq!(
+            end,
+            ScanEnd {
+                good_end: len,
+                clean: true
+            }
+        );
+
+        // Flip a payload byte of the middle record: the scan stops
+        // there and leaves the file as it was.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[(offs[1] + RECORD_HEADER) as usize] ^= 1;
+        std::fs::write(&path, &bytes).unwrap();
+        let (seen, end) = scan(&path);
+        assert_eq!(seen, vec![(offs[0], b"one".to_vec())]);
+        assert_eq!(
+            end,
+            ScanEnd {
+                good_end: offs[1],
+                clean: false
+            }
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+
+        std::fs::write(&path, b"not a log").unwrap();
+        let err = RecordLog::scan(&path, |_, _| Ok(())).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

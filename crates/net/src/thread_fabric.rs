@@ -15,8 +15,10 @@
 //! * disk costs reuse the simulator's write-back/dirty-limit semantics
 //!   ([`ThreadDiskParams`] mirrors `bff_sim::DiskParams` formula for
 //!   formula), paid in wall time;
-//! * `par_join` fans out on scoped OS threads and `spawn_detached` runs on
-//!   a small shared worker pool that [`Fabric::quiesce`] drains.
+//! * `par_join` hands every task after the first to a parked helper
+//!   thread (spawning one only when none is idle, so helpers never
+//!   outnumber the peak concurrent fan-out) and `spawn_detached` runs on
+//!   a small fixed worker pool that [`Fabric::quiesce`] drains.
 //!
 //! Because callers *sleep through* their modelled costs while other
 //! threads keep running, lock contention inside the protocol stack shows
@@ -197,6 +199,12 @@ impl DiskLane {
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
+/// Lock a `std` mutex, ignoring poison: a panicking job is caught and
+/// re-raised elsewhere, so the guarded state is still consistent.
+fn lock<T>(m: &StdMutex<T>) -> StdMutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 struct PoolState {
     queue: VecDeque<Job>,
     /// Jobs queued or currently running.
@@ -212,7 +220,7 @@ struct PoolShared {
 
 impl PoolShared {
     fn state(&self) -> StdMutexGuard<'_, PoolState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
+        lock(&self.state)
     }
 }
 
@@ -291,6 +299,122 @@ impl Drop for WorkPool {
     }
 }
 
+type Panic = Box<dyn std::any::Any + Send + 'static>;
+
+/// Completion count of one `par_join`, plus the first panic a helper
+/// task raised.
+struct Latch {
+    state: StdMutex<(usize, Option<Panic>)>,
+    done: Condvar,
+}
+
+impl Latch {
+    fn new(pending: usize) -> Arc<Self> {
+        Arc::new(Self {
+            state: StdMutex::new((pending, None)),
+            done: Condvar::new(),
+        })
+    }
+
+    fn count_down(&self, panic: Option<Panic>) {
+        let mut st = lock(&self.state);
+        st.0 -= 1;
+        if st.1.is_none() {
+            st.1 = panic;
+        }
+        if st.0 == 0 {
+            self.done.notify_one();
+        }
+    }
+
+    /// Block until every task counted down; returns the first panic.
+    fn wait(&self) -> Option<Panic> {
+        let mut st = lock(&self.state);
+        while st.0 > 0 {
+            st = self.done.wait(st).unwrap_or_else(|e| e.into_inner());
+        }
+        st.1.take()
+    }
+}
+
+enum Slot {
+    Empty,
+    Run(Job, Arc<Latch>),
+    Exit,
+}
+
+/// One parked `par_join` helper thread's mailbox.
+struct Helper {
+    slot: StdMutex<Slot>,
+    wake: Condvar,
+}
+
+impl Helper {
+    fn assign(&self, slot: Slot) {
+        *lock(&self.slot) = slot;
+        self.wake.notify_one();
+    }
+}
+
+/// The `par_join` helpers: every task gets a thread of its own at once
+/// (so nested fan-outs cannot deadlock), but a thread outlives its task
+/// and parks on the idle list for the next join instead of exiting.
+#[derive(Default)]
+struct Helpers {
+    idle: Arc<StdMutex<Vec<Arc<Helper>>>>,
+    threads: StdMutex<Vec<thread::JoinHandle<()>>>,
+}
+
+impl Helpers {
+    /// Start `task` on an idle helper, or on a new one if none is idle.
+    fn run(&self, task: Job, latch: Arc<Latch>) {
+        if let Some(h) = lock(&self.idle).pop() {
+            return h.assign(Slot::Run(task, latch));
+        }
+        let h = Arc::new(Helper {
+            slot: StdMutex::new(Slot::Run(task, latch)),
+            wake: Condvar::new(),
+        });
+        let idle = Arc::clone(&self.idle);
+        let t = thread::Builder::new()
+            .name("par-join".into())
+            .spawn(move || loop {
+                let (task, latch) = {
+                    let mut slot = lock(&h.slot);
+                    loop {
+                        match std::mem::replace(&mut *slot, Slot::Empty) {
+                            Slot::Run(task, latch) => break (task, latch),
+                            Slot::Exit => return,
+                            Slot::Empty => {
+                                slot = h.wake.wait(slot).unwrap_or_else(|e| e.into_inner())
+                            }
+                        }
+                    }
+                };
+                let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)).err();
+                // Park before counting down, so the join's caller wakes
+                // to find this helper already reusable.
+                lock(&idle).push(Arc::clone(&h));
+                latch.count_down(panic);
+            })
+            .expect("spawn par_join helper");
+        lock(&self.threads).push(t);
+    }
+}
+
+impl Drop for Helpers {
+    fn drop(&mut self) {
+        // No join is in flight (each borrows the fabric), so every
+        // helper is parked on the idle list.
+        for h in lock(&self.idle).drain(..) {
+            h.assign(Slot::Exit);
+        }
+        for t in lock(&self.threads).drain(..) {
+            let _ = t.join();
+        }
+    }
+}
+
 /// Real-threaded fabric: wall clock, NIC reservations, modelled disks.
 pub struct ThreadFabric {
     params: ThreadParams,
@@ -306,6 +430,7 @@ pub struct ThreadFabric {
     /// delay — the contention bug the tuned fabric exists to avoid.
     naive_gate: parking_lot::Mutex<()>,
     pool: WorkPool,
+    helpers: Helpers,
 }
 
 impl ThreadFabric {
@@ -329,6 +454,7 @@ impl ThreadFabric {
                 .collect(),
             naive_gate: parking_lot::Mutex::new(()),
             pool: WorkPool::new(params.pool_threads),
+            helpers: Helpers::default(),
         })
     }
 
@@ -512,21 +638,24 @@ impl Fabric for ThreadFabric {
         self.sleep_until_model(self.now_model() + micros);
     }
 
-    fn par_join(&self, mut tasks: Vec<Box<dyn FnOnce() + Send + 'static>>) {
-        match tasks.len() {
-            0 => {}
-            1 => (tasks.pop().unwrap())(),
-            _ => {
-                let first = tasks.remove(0);
-                thread::scope(|s| {
-                    for t in tasks {
-                        s.spawn(t);
-                    }
-                    // Run one task on the caller's thread: no idle joiner,
-                    // and a pool-starvation deadlock is impossible.
-                    first();
-                });
-            }
+    fn par_join(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'static>>) {
+        let mut tasks = tasks.into_iter();
+        let Some(first) = tasks.next() else {
+            return;
+        };
+        if tasks.len() == 0 {
+            return first();
+        }
+        let latch = Latch::new(tasks.len());
+        for t in tasks {
+            self.helpers.run(t, Arc::clone(&latch));
+        }
+        // Run one task on the caller's thread: no idle joiner. A panic
+        // anywhere re-raises here only once every task has finished.
+        let own = std::panic::catch_unwind(std::panic::AssertUnwindSafe(first)).err();
+        let helpers = latch.wait();
+        if let Some(p) = own.or(helpers) {
+            std::panic::resume_unwind(p);
         }
     }
 
@@ -692,6 +821,159 @@ mod tests {
             .collect();
         f.par_join(tasks);
         assert_eq!(hits.load(Ordering::SeqCst), 8);
+    }
+
+    fn boxed(f: impl FnOnce() + Send + 'static) -> Box<dyn FnOnce() + Send> {
+        Box::new(f)
+    }
+
+    #[test]
+    fn par_join_starts_every_task_at_once() {
+        // Each task waits for all the others: only a thread per task
+        // gets every one of them to the barrier.
+        let f = ThreadFabric::new(params(2));
+        for n in [2, 8] {
+            let barrier = Arc::new(std::sync::Barrier::new(n));
+            let tasks = (0..n)
+                .map(|_| {
+                    let b = Arc::clone(&barrier);
+                    boxed(move || {
+                        b.wait();
+                    })
+                })
+                .collect();
+            f.par_join(tasks);
+        }
+    }
+
+    #[test]
+    fn nested_par_join_completes() {
+        let f = ThreadFabric::new(params(2));
+        let hits = Arc::new(AtomicUsize::new(0));
+        let outer = (0..3)
+            .map(|_| {
+                let (f, hits) = (Arc::clone(&f), Arc::clone(&hits));
+                boxed(move || {
+                    let barrier = Arc::new(std::sync::Barrier::new(3));
+                    let inner = (0..3)
+                        .map(|_| {
+                            let (b, hits) = (Arc::clone(&barrier), Arc::clone(&hits));
+                            boxed(move || {
+                                b.wait();
+                                hits.fetch_add(1, Ordering::SeqCst);
+                            })
+                        })
+                        .collect();
+                    f.par_join(inner);
+                })
+            })
+            .collect();
+        f.par_join(outer);
+        assert_eq!(hits.load(Ordering::SeqCst), 9);
+    }
+
+    #[test]
+    fn panic_reraises_after_every_sibling_finished() {
+        let f = ThreadFabric::new(params(2));
+        let finished = Arc::new(AtomicUsize::new(0));
+        // All three meet at the barrier, then the middle task panics
+        // while its siblings are still working.
+        let barrier = Arc::new(std::sync::Barrier::new(3));
+        let slow = || {
+            let (finished, b) = (Arc::clone(&finished), Arc::clone(&barrier));
+            boxed(move || {
+                b.wait();
+                thread::sleep(Duration::from_millis(30));
+                finished.fetch_add(1, Ordering::SeqCst);
+            })
+        };
+        let b = Arc::clone(&barrier);
+        let failing = boxed(move || {
+            b.wait();
+            panic!("task failed")
+        });
+        let tasks = vec![slow(), failing, slow()];
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f.par_join(tasks)))
+            .expect_err("the task's panic reaches the caller");
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"task failed"));
+        assert_eq!(
+            finished.load(Ordering::SeqCst),
+            2,
+            "siblings ran to the end"
+        );
+
+        // The helper that panicked is parked again and still serves.
+        let tasks = (0..3).map(|_| slow()).collect();
+        f.par_join(tasks);
+        assert_eq!(finished.load(Ordering::SeqCst), 5);
+    }
+
+    /// Thread ids of every task that ran off the calling thread.
+    fn helper_ids(f: &ThreadFabric, joins: usize, width: usize) -> Vec<thread::ThreadId> {
+        let caller = thread::current().id();
+        let seen = Arc::new(StdMutex::new(Vec::new()));
+        for _ in 0..joins {
+            let tasks = (0..width)
+                .map(|_| {
+                    let seen = Arc::clone(&seen);
+                    boxed(move || {
+                        let me = thread::current().id();
+                        if me != caller {
+                            seen.lock().unwrap().push(me);
+                        }
+                    })
+                })
+                .collect();
+            f.par_join(tasks);
+        }
+        let mut ids = Arc::try_unwrap(seen).unwrap().into_inner().unwrap();
+        ids.sort_by_key(|id| format!("{id:?}"));
+        ids.dedup();
+        ids
+    }
+
+    #[test]
+    fn sequential_joins_reuse_parked_helpers() {
+        let f = ThreadFabric::new(params(2));
+        let ids = helper_ids(&f, 1000, 4);
+        assert!(
+            ids.len() <= 3,
+            "1000 4-task joins spawned {} helper threads",
+            ids.len()
+        );
+    }
+
+    #[test]
+    fn dropping_the_fabric_joins_every_helper() {
+        struct OnExit(Arc<AtomicUsize>);
+        impl Drop for OnExit {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        thread_local! {
+            static ON_EXIT: std::cell::RefCell<Option<OnExit>> = const { std::cell::RefCell::new(None) };
+        }
+        let f = ThreadFabric::new(params(2));
+        let exited = Arc::new(AtomicUsize::new(0));
+        let caller = thread::current().id();
+        // The barrier holds every task on its own thread: 3 helpers.
+        let barrier = Arc::new(std::sync::Barrier::new(4));
+        let tasks = (0..4)
+            .map(|_| {
+                let (exited, b) = (Arc::clone(&exited), Arc::clone(&barrier));
+                boxed(move || {
+                    b.wait();
+                    if thread::current().id() != caller {
+                        ON_EXIT.with(|e| *e.borrow_mut() = Some(OnExit(exited)));
+                    }
+                })
+            })
+            .collect();
+        f.par_join(tasks);
+        assert_eq!(exited.load(Ordering::SeqCst), 0, "helpers stay parked");
+        drop(f);
+        assert_eq!(exited.load(Ordering::SeqCst), 3, "every helper exited");
     }
 
     #[test]

@@ -281,8 +281,21 @@ impl Wire for TreeNode {
 /// receiving side rebuilds an equivalent rope; all content operations
 /// (digest, equality, materialize) are representation-independent, so
 /// the round trip preserves content exactly.
+/// Bytes of the longest varint (a `u64` needs ten 7-bit groups).
+const MAX_VARINT: usize = 10;
+
 impl Wire for Payload {
     fn enc(&self, out: &mut Vec<u8>) {
+        // One reservation for the whole encoding: every literal byte plus
+        // a worst-case header per segment (a tag and three varints).
+        let literal: usize = self
+            .segments()
+            .map(|seg| match seg {
+                SegView::Bytes(b) => b.len(),
+                _ => 0,
+            })
+            .sum();
+        out.reserve(MAX_VARINT + literal + (1 + 3 * MAX_VARINT) * self.segment_count());
         put_varint(out, self.segment_count() as u64);
         for seg in self.segments() {
             match seg {
@@ -528,6 +541,38 @@ impl Wire for BlobError {
 mod tests {
     use super::*;
     use crate::codec::{decode, encode};
+
+    #[test]
+    fn literal_encoding_allocates_once() {
+        let literal = |len: usize, salt: u8| {
+            Payload::from_bytes((0..len).map(|i| i as u8 ^ salt).collect::<Vec<u8>>())
+        };
+        let one = literal(64 << 10, 0);
+        let mut out = Vec::new();
+        one.enc(&mut out);
+        assert!(
+            out.capacity() < 2 * (64 << 10),
+            "capacity {}",
+            out.capacity()
+        );
+
+        // Several literal segments: growing segment by segment would
+        // reallocate (and nearly double) on the last one.
+        let mut rope = literal((64 << 10) - 16, 1);
+        rope.append(literal(4096, 2));
+        rope.append(Payload::synth(3, 0, 100));
+        rope.append(literal(100, 4));
+        assert_eq!(rope.segment_count(), 4);
+        let mut out = Vec::new();
+        rope.enc(&mut out);
+        assert!(
+            out.capacity() <= out.len() + 128,
+            "capacity {} for {} bytes",
+            out.capacity(),
+            out.len()
+        );
+        assert_eq!(decode::<Payload>(&out).unwrap(), rope);
+    }
 
     #[test]
     fn null_key_identity() {
