@@ -361,14 +361,22 @@ impl Helper {
 /// and parks on the idle list for the next join instead of exiting.
 #[derive(Default)]
 struct Helpers {
-    idle: Arc<StdMutex<Vec<Arc<Helper>>>>,
+    idle: Arc<StdMutex<Idle>>,
     threads: StdMutex<Vec<thread::JoinHandle<()>>>,
+}
+
+#[derive(Default)]
+struct Idle {
+    parked: Vec<Arc<Helper>>,
+    /// Set when the fabric drops: a helper finishing a task exits
+    /// instead of parking.
+    closed: bool,
 }
 
 impl Helpers {
     /// Start `task` on an idle helper, or on a new one if none is idle.
     fn run(&self, task: Job, latch: Arc<Latch>) {
-        if let Some(h) = lock(&self.idle).pop() {
+        if let Some(h) = lock(&self.idle).parked.pop() {
             return h.assign(Slot::Run(task, latch));
         }
         let h = Arc::new(Helper {
@@ -394,8 +402,17 @@ impl Helpers {
                 let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)).err();
                 // Park before counting down, so the join's caller wakes
                 // to find this helper already reusable.
-                lock(&idle).push(Arc::clone(&h));
+                let closed = {
+                    let mut idle = lock(&idle);
+                    if !idle.closed {
+                        idle.parked.push(Arc::clone(&h));
+                    }
+                    idle.closed
+                };
                 latch.count_down(panic);
+                if closed {
+                    return;
+                }
             })
             .expect("spawn par_join helper");
         lock(&self.threads).push(t);
@@ -404,11 +421,14 @@ impl Helpers {
 
 impl Drop for Helpers {
     fn drop(&mut self) {
-        // No join is in flight (each borrows the fabric), so every
-        // helper is parked on the idle list.
-        for h in lock(&self.idle).drain(..) {
+        // Parked helpers exit now. A helper still running a task (its
+        // join unwound before waiting) exits when the task ends.
+        let mut idle = lock(&self.idle);
+        idle.closed = true;
+        for h in idle.parked.drain(..) {
             h.assign(Slot::Exit);
         }
+        drop(idle);
         for t in lock(&self.threads).drain(..) {
             let _ = t.join();
         }
@@ -875,37 +895,48 @@ mod tests {
     #[test]
     fn panic_reraises_after_every_sibling_finished() {
         let f = ThreadFabric::new(params(2));
-        let finished = Arc::new(AtomicUsize::new(0));
-        // All three meet at the barrier, then the middle task panics
-        // while its siblings are still working.
-        let barrier = Arc::new(std::sync::Barrier::new(3));
-        let slow = || {
-            let (finished, b) = (Arc::clone(&finished), Arc::clone(&barrier));
-            boxed(move || {
-                b.wait();
-                thread::sleep(Duration::from_millis(30));
-                finished.fetch_add(1, Ordering::SeqCst);
-            })
-        };
-        let b = Arc::clone(&barrier);
-        let failing = boxed(move || {
-            b.wait();
-            panic!("task failed")
-        });
-        let tasks = vec![slow(), failing, slow()];
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f.par_join(tasks)))
-            .expect_err("the task's panic reaches the caller");
-        assert_eq!(err.downcast_ref::<&str>(), Some(&"task failed"));
-        assert_eq!(
-            finished.load(Ordering::SeqCst),
-            2,
-            "siblings ran to the end"
-        );
-
+        // The caller runs task 0. Whether its own task or a helper's
+        // panics, the panic reaches it only after the slow sibling
+        // (task 2) is done.
+        for panicking in [0, 1] {
+            let finished = Arc::new(AtomicUsize::new(0));
+            let barrier = Arc::new(std::sync::Barrier::new(3));
+            let tasks = (0..3)
+                .map(|i| {
+                    let (finished, b) = (Arc::clone(&finished), Arc::clone(&barrier));
+                    boxed(move || {
+                        b.wait();
+                        if i == panicking {
+                            panic!("task failed");
+                        }
+                        if i == 2 {
+                            thread::sleep(Duration::from_millis(30));
+                        }
+                        finished.fetch_add(1, Ordering::SeqCst);
+                    })
+                })
+                .collect();
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f.par_join(tasks)))
+                .expect_err("the task's panic reaches the caller");
+            assert_eq!(err.downcast_ref::<&str>(), Some(&"task failed"));
+            assert_eq!(
+                finished.load(Ordering::SeqCst),
+                2,
+                "siblings ran to the end"
+            );
+        }
         // The helper that panicked is parked again and still serves.
-        let tasks = (0..3).map(|_| slow()).collect();
+        let hits = Arc::new(AtomicUsize::new(0));
+        let tasks = (0..3)
+            .map(|_| {
+                let hits = Arc::clone(&hits);
+                boxed(move || {
+                    hits.fetch_add(1, Ordering::SeqCst);
+                })
+            })
+            .collect();
         f.par_join(tasks);
-        assert_eq!(finished.load(Ordering::SeqCst), 5);
+        assert_eq!(hits.load(Ordering::SeqCst), 3);
     }
 
     /// Thread ids of every task that ran off the calling thread.
